@@ -1,11 +1,12 @@
 """Dense truncated-series kernels over F_{p^m}.
 
 A truncated series is an int64 array of shape (N, m): row i is the residue
-vector of the t^i coefficient.  Series multiplication is the hot loop of
-every valuation workload (precision escalates up to the cap, 4096 by
-default), so it is JIT-compiled with numba; set CHARP_PURE_NUMPY=1 to force
-the plain numpy path.  Backend selection is lazy so that importing the
-package stays cheap.
+vector of the t^i coefficient.  The product here is the only dense work of
+substitution, which calls it once per nonzero base-p digit of an image
+power and once per further variable of a monomial group (see
+charp.series); it is JIT-compiled with numba when numba is installed; set
+CHARP_PURE_NUMPY=1 to force the plain numpy path.  Backend selection is
+lazy so that importing the package stays cheap.
 
 Both paths accumulate a full integer convolution before one reduction pass:
 entries are < p <= 2^20, so each accumulator cell collects at most N*m

@@ -183,6 +183,12 @@ def dvr_report(valuation: EmbeddingValuation, versus=None, samples: int = 50,
     """
     ctx = valuation.ctx
     n = valuation.nvars
+    if samples < 1:
+        raise ValueError(f"need at least 1 sample, got {samples}")
+    if versus is not None and n != 2:
+        raise ValueError(
+            f"separating fractions compare valuations on 2 variables; "
+            f"this one is on {n}")
     rng = random.Random(seed)
     x = MultiPoly.variable(ctx, n, 0)
     vx, cert = valuation.valuate_with_certificate(x)

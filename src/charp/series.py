@@ -3,6 +3,11 @@
 A TruncatedSeries knows its coefficients a_0..a_{N-1} exactly; nothing is
 assumed about coefficients at or beyond the precision N.  Arithmetic between
 series of different precision truncates to the shorter one.
+
+Substitution and powers use characteristic p.  A variable sent to t only
+shifts coefficients.  The p-th power of a series is its Frobenius stretch
+sum a_i^p t^(ip), which needs no product, so a power Y^k costs one dense
+product per nonzero base-p digit of k (plus binary powering of the digits).
 """
 
 from __future__ import annotations
@@ -102,15 +107,12 @@ class TruncatedSeries:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative series power")
-        result = TruncatedSeries.one(self.ctx, self.precision)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            if k > 1:
-                base = base * base
-            k >>= 1
-        return result
+        if k == 0:
+            return TruncatedSeries.one(self.ctx, self.precision)
+        out = _Powers(self.ctx, self.coeffs).power(k, self.precision)
+        if out is None:
+            return TruncatedSeries.zeros(self.ctx, self.precision)
+        return TruncatedSeries(self.ctx, out)
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -148,20 +150,81 @@ class TruncatedSeries:
         return f"<series {body} + O(t^{self.precision})>"
 
 
-def _power_cached(base_arr, k, cache, red, p, nout):
-    """base^k as a raw array, by binary powering with memoization."""
-    hit = cache.get(k)
-    if hit is not None:
-        return hit
-    if k == 1:
-        cache[1] = base_arr
-        return base_arr
-    half = _power_cached(base_arr, k // 2, cache, red, p, nout)
-    out = series_mul(half, half, red, p, nout)
-    if k & 1:
-        out = series_mul(out, base_arr, red, p, nout)
-    cache[k] = out
-    return out
+def _is_t(arr) -> bool:
+    """Whether a coefficient array is exactly the series t at its length."""
+    if arr.shape[0] < 2:
+        return not arr.any()
+    return arr[1, 0] == 1 and np.count_nonzero(arr) == 1
+
+
+def _rows(first: FieldElement, ratio: FieldElement) -> np.ndarray:
+    """F_p matrix whose row k is the residue vector of first * ratio^k.
+
+    With (c, u) it is the matrix of a -> c*a on residue vectors; with
+    (1, u^p) that of the Frobenius a -> a^p, since a = sum v_k u^k with
+    every v_k in F_p gives a^p = sum v_k (u^p)^k.
+    """
+    rows, cur = [], first
+    for _ in range(first.ctx.m):
+        rows.append(cur.coeffs)
+        cur = cur * ratio
+    return np.array(rows, dtype=np.int64)
+
+
+class _Powers:
+    """Powers of one series, exact modulo t^n, memoized for one call.
+
+    In characteristic p, (sum a_i t^i)^p = sum a_i^p t^(ip): the p-th power
+    of a series is a Frobenius stretch, which costs no product.  Hence
+    Y^k = Y^(k mod p) * stretch(Y^(k div p)), where the stretched factor is
+    needed only modulo t^ceil(n/p).  Y^k takes one dense product per nonzero
+    base-p digit of k, plus the binary powering of the digits, and each
+    digit after the lowest is handled at a p-fold lower precision.
+    """
+
+    def __init__(self, ctx: FieldContext, base: np.ndarray):
+        self.ctx = ctx
+        self.base = base
+        nonzero = np.flatnonzero(base.any(axis=1))
+        self.order = int(nonzero[0]) if nonzero.size else None
+        self.cache: dict = {}
+        self.frobenius = None
+
+    def power(self, k: int, n: int):
+        """base^k modulo t^n for k >= 1, or None where it vanishes."""
+        if self.order is None or k * self.order >= n:
+            return None
+        out = self.cache.get((k, n))
+        if out is not None:
+            return out
+        p, red = self.ctx.p, self.ctx.reduction_array
+        if k == 1:
+            out = self.base[:n]
+        elif k < p:
+            half = self.power(k // 2, n)
+            out = series_mul(half, half, red, p, n)
+            if k & 1:
+                out = series_mul(out, self.base[:n], red, p, n)
+        else:
+            q, d = divmod(k, p)
+            out = self._stretch(self.power(q, -(-n // p)), n)
+            if d:
+                out = series_mul(self.power(d, n), out, red, p, n)
+        self.cache[(k, n)] = out
+        return out
+
+    def _stretch(self, s: np.ndarray, n: int) -> np.ndarray:
+        """sum a_i t^i -> sum a_i^p t^(ip) modulo t^n, from the first
+        ceil(n/p) coefficients."""
+        ctx = self.ctx
+        out = np.zeros((n, ctx.m), dtype=np.int64)
+        if ctx.m == 1:
+            out[::ctx.p] = s
+        else:
+            if self.frobenius is None:
+                self.frobenius = _rows(ctx.one, ctx.generator() ** ctx.p)
+            out[::ctx.p] = s @ self.frobenius % ctx.p
+        return out
 
 
 def substitute_series(f: MultiPoly, images, precision: int) -> TruncatedSeries:
@@ -169,6 +232,12 @@ def substitute_series(f: MultiPoly, images, precision: int) -> TruncatedSeries:
 
     Every image must carry at least the requested precision; the result is
     a ring-homomorphic image truncated at t^precision.
+
+    An image that is exactly t turns its variable's exponent into a shift.
+    Terms are grouped by their other exponents; each group costs one dense
+    product D of image powers (see _Powers), and each of its terms
+    c * t^a * D adds the rows of D, multiplied by c, a places down.  Terms
+    with a >= precision drop out.
     """
     if len(images) != f.nvars:
         raise ValueError(
@@ -180,23 +249,39 @@ def substitute_series(f: MultiPoly, images, precision: int) -> TruncatedSeries:
         if s.precision < precision:
             raise PrecisionMismatch(
                 f"image precision {s.precision} below requested {precision}")
-    p = ctx.p
-    red = ctx.reduction_array
-    image_arrs = [np.ascontiguousarray(s.coeffs[:precision]) for s in images]
-    caches: list = [{} for _ in range(f.nvars)]
-    acc = np.zeros((precision, ctx.m), dtype=np.int64)
-    const_row = np.zeros((1, ctx.m), dtype=np.int64)
+    n, p = precision, ctx.p
+    arrs = [s.coeffs[:n] for s in images]
+    shifts = [_is_t(arr) for arr in arrs]
+    groups: dict = {}
     for exp, coeff in f.terms.items():
-        cur = None
-        for j, e in enumerate(exp):
-            if e == 0:
-                continue
-            pw = _power_cached(image_arrs[j], e, caches[j], red, p, precision)
-            cur = pw if cur is None else series_mul(cur, pw, red, p, precision)
-        if cur is None:
-            acc[0] = (acc[0] + np.asarray(coeff.coeffs)) % p
+        a = sum(e for e, is_t in zip(exp, shifts) if is_t)
+        if a < n:
+            rest = tuple(0 if is_t else e for e, is_t in zip(exp, shifts))
+            groups.setdefault(rest, []).append((a, coeff))
+    powers = [None if is_t else _Powers(ctx, arr)
+              for arr, is_t in zip(arrs, shifts)]
+    scalings: dict = {}
+    acc = np.zeros((n, ctx.m), dtype=np.int64)
+    for rest, terms in groups.items():
+        prod = None  # the empty product, 1
+        for j, e in enumerate(rest):
+            if e:
+                pw = powers[j].power(e, n)
+                if pw is None:
+                    break  # the whole group vanishes modulo t^n
+                prod = pw if prod is None else series_mul(
+                    prod, pw, ctx.reduction_array, p, n)
         else:
-            const_row[0, :] = coeff.coeffs
-            term = series_mul(cur, const_row, red, p, precision)
-            acc = (acc + term) % p
+            for a, c in terms:
+                if prod is None:
+                    acc[a] = (acc[a] + c.coeffs) % p
+                    continue
+                rows = prod[:n - a]
+                if ctx.m == 1:
+                    acc[a:] += rows * c.coeffs[0]
+                else:
+                    if c.coeffs not in scalings:
+                        scalings[c.coeffs] = _rows(c, ctx.generator())
+                    acc[a:] += rows @ scalings[c.coeffs]
+                acc[a:] %= p
     return TruncatedSeries(ctx, acc)

@@ -44,9 +44,10 @@ def order(s: TruncatedSeries):
 class EmbeddingValuation:
     """Valuation of k(x_1..x_n) induced by x_1 -> t, x_i -> stream_i.
 
-    Realized stream prefixes are cached; the cache only ever grows, and
-    extensions are serialized by a lock so concurrent readers always see a
-    consistent prefix.
+    Realized stream prefixes are cached, except that of t, which costs
+    nothing to build; the cache only ever grows, and extensions are
+    serialized by a lock so concurrent readers always see a consistent
+    prefix.
     """
 
     def __init__(self, ctx: FieldContext, streams, precision_cap: int =
@@ -68,8 +69,9 @@ class EmbeddingValuation:
                 raise ValueError(
                     f"stream {s.label!r} is a unit (a_0 != 0)")
         self._lock = threading.Lock()
+        # realized prefixes of the images of x_2, ..., x_n; t is never stored
         self._realized = [np.zeros((0, ctx.m), dtype=np.int64)
-                          for _ in self.streams]
+                          for _ in self.streams[1:]]
         for i, s in enumerate(self.streams):
             if self._first_nonzero(i) is None:
                 raise ValueError(
@@ -79,11 +81,12 @@ class EmbeddingValuation:
     # -- stream realization --------------------------------------------------
 
     def _prefix(self, i: int, n: int) -> np.ndarray:
-        arr = self._realized[i]
+        """At least n realized coefficients of stream i >= 1."""
+        arr = self._realized[i - 1]
         if arr.shape[0] >= n:
             return arr
         with self._lock:
-            arr = self._realized[i]
+            arr = self._realized[i - 1]
             if arr.shape[0] >= n:
                 return arr
             extra = np.zeros((n - arr.shape[0], self.ctx.m), dtype=np.int64)
@@ -92,10 +95,12 @@ class EmbeddingValuation:
                 extra[idx - arr.shape[0], :] = oracle(idx).coeffs
             grown = np.concatenate([arr, extra], axis=0)
             grown.setflags(write=False)
-            self._realized[i] = grown
+            self._realized[i - 1] = grown
             return grown
 
     def _first_nonzero(self, i: int):
+        if i == 0:
+            return 1 if self.precision_cap > 1 else None  # the image t
         n = self.start_precision
         while True:
             arr = self._prefix(i, n)
@@ -107,9 +112,14 @@ class EmbeddingValuation:
             n = min(2 * n, self.precision_cap)
 
     def images(self, precision: int) -> list:
-        """Realized stream images at the given precision."""
-        return [TruncatedSeries(self.ctx, self._prefix(i, precision)[:precision])
-                for i in range(self.nvars)]
+        """Stream images at the given precision: t, built on demand, then
+        the realized prefixes of the other streams."""
+        t = np.zeros((precision, self.ctx.m), dtype=np.int64)
+        if precision > 1:
+            t[1, 0] = 1
+        return [TruncatedSeries(self.ctx, t)] + [
+            TruncatedSeries(self.ctx, self._prefix(i, precision)[:precision])
+            for i in range(1, self.nvars)]
 
     # -- valuation -----------------------------------------------------------
 

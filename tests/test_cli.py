@@ -219,6 +219,23 @@ class TestBehaviors:
                      if "separated" in item["claim"]]
         assert fractions == ["x^3/(y-x-x^2)"]
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_report_dvr_needs_a_sample(self, capsys, samples):
+        code, out, err = run_cli(
+            capsys, f"report dvr --p 2 --stream lacunary --samples {samples}")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "ValueError"
+
+    def test_report_dvr_versus_needs_two_variables(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "report dvr --p 2 --vars 3 --stream lacunary "
+            "--stream 'from-seed(7)' --versus lacunary+t^3 --samples 3")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "ValueError"
+
     def test_selftest(self, capsys):
         code, out, _ = run_cli(capsys, "selftest --trials 20")
         assert code == 0

@@ -1,0 +1,95 @@
+"""The substitution engine against the reference engine, and series powers
+against repeated multiplication."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from charp.ffield import make_context
+from charp.poly import EXPONENT_LIMIT, MultiPoly
+from charp.series import TruncatedSeries, substitute_series
+from reference_substitution import substitute_series as reference
+
+FIELDS = [(p, m) for p in (2, 3, 5, 1048573) for m in (1, 2, 3)]
+
+
+def t_series(ctx, n):
+    arr = np.zeros((n, ctx.m), dtype=np.int64)
+    if n > 1:
+        arr[1, 0] = 1
+    return TruncatedSeries(ctx, arr)
+
+
+def random_series(ctx, n, order, density, seed):
+    """Dense random coefficients from index `order` on; order 0 is a unit."""
+    gen = np.random.default_rng(seed)
+    arr = gen.integers(0, ctx.p, size=(n, ctx.m))
+    arr[gen.random(n) > density] = 0
+    arr[:order] = 0
+    if order < n and not arr[order].any():
+        arr[order, 0] = 1
+    return TruncatedSeries(ctx, arr)
+
+
+@st.composite
+def substitutions(draw):
+    """(f, images, precision) over a drawn field, 1-3 variables, each image
+    t (possibly known beyond the precision) or a random series."""
+    p, m = draw(st.sampled_from(FIELDS))
+    ctx = make_context(p, m)
+    nvars = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 48))
+    images = []
+    for _ in range(nvars):
+        known = n + draw(st.integers(0, 3))
+        if draw(st.booleans()):
+            images.append(t_series(ctx, known))
+        else:
+            images.append(random_series(
+                ctx, known, draw(st.integers(0, 4)),
+                draw(st.sampled_from([0.2, 0.6, 1.0])),
+                draw(st.integers(0, 2 ** 32))))
+    digits = [k for k in (p, p + 1, p * p, 2 * p * p + 3)
+              if k <= EXPONENT_LIMIT]
+    exponent = st.one_of(st.integers(0, 6), st.sampled_from(digits),
+                         st.integers(n, 2 * n + 3))  # shifts >= precision
+    constant_only = draw(st.booleans())
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        exp = (0,) * nvars if constant_only else tuple(
+            draw(exponent) for _ in range(nvars))
+        terms[exp] = ctx.elem(
+            [draw(st.integers(0, p - 1)) for _ in range(m)])
+    return MultiPoly.from_terms(ctx, nvars, terms), images, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(substitutions())
+def test_substitution_matches_reference(case):
+    f, images, n = case
+    assert substitute_series(f, images, n) == reference(f, images, n)
+
+
+def test_t_image_detected_below_the_precision():
+    """An image that agrees with t modulo t^n substitutes as t."""
+    ctx = make_context(3)
+    f = MultiPoly.from_terms(ctx, 1, {(2,): 1, (9,): 2})
+    image = TruncatedSeries.from_elements(ctx, [0, 1, 0, 0, 0, 0, 1])
+    got = substitute_series(f, [image], 6)
+    assert got == TruncatedSeries.from_elements(ctx, [0, 0, 1, 0, 0, 0])
+    assert got == reference(f, [image], 6)
+
+
+@pytest.mark.parametrize("pm", [(p, m) for p in (2, 3, 5) for m in (1, 2, 3)])
+@pytest.mark.parametrize("order", [0, 1])
+def test_pow_by_digits_matches_repeated_mul(pm, order):
+    p, _ = pm
+    ctx = make_context(*pm)
+    s = random_series(ctx, 4 * p * p + 1, order, 0.6, seed=p * 10 + order)
+    wanted = {0, 1, p, p + 1, p * p, 2 * p * p + 3}
+    acc = TruncatedSeries.one(ctx, s.precision)
+    for k in range(max(wanted) + 1):
+        if k in wanted:
+            assert s ** k == acc, k
+        acc = acc * s

@@ -101,6 +101,26 @@ class TestValuate:
         with pytest.raises(ValueError):
             EmbeddingValuation(f2, [unit])
 
+    def test_t_image_is_built_not_realized(self):
+        ctx = make_context(3, 2)
+        V = EmbeddingValuation(ctx, [lacunary(ctx)])
+
+        def refuse(n):
+            raise AssertionError("t realized from its stream")
+
+        V.streams[0].oracle = refuse
+        for n in (1, 2, 17, 4096):
+            t = V.images(n)[0]
+            assert t.precision == n
+            assert t == TruncatedSeries.from_elements(
+                ctx, ([0, 1] + [0] * (n - 2))[:n])
+
+    def test_t_needs_a_cap_above_one(self, f2):
+        with pytest.raises(ValueError):
+            EmbeddingValuation(f2, [], precision_cap=1)
+        V = EmbeddingValuation(f2, [], precision_cap=2)
+        assert V.valuate(parse_poly("x", f2, 1)) == 1
+
     def test_three_variable_embedding(self, warm_kernels, f2):
         V3 = EmbeddingValuation(f2, [lacunary(f2), from_seed(f2, 7)])
         assert V3.nvars == 3
