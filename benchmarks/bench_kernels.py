@@ -1,10 +1,9 @@
 #!/usr/bin/env python3
-"""Benchmark the truncated-series kernels: numba JIT path vs pure numpy.
+"""Benchmark the truncated-series product.
 
 Times the raw series product at several precisions and extension degrees,
 then a realistic valuation workload (deep lacunary gap, forcing precision
-escalation to 1024).  The numba path is compiled before timing; if numba is
-unavailable or CHARP_PURE_NUMPY=1 is set, only the numpy path is reported.
+escalation to 1024).
 """
 
 import argparse
@@ -12,7 +11,7 @@ import time
 
 import numpy as np
 
-from charp import _kernels
+from charp._kernels import series_mul
 from charp.ffield import make_context
 from charp.parser import parse_poly
 from charp.streams import lacunary
@@ -37,12 +36,11 @@ def time_call(fn, *args, repeats=5):
 
 
 def bench_mul(repeats):
-    # dense rows show numpy's optimized convolve at its best; the sparse
-    # rows are the shape valuation workloads actually have (gap series
-    # keep a handful of nonzero coefficients), where the JIT loop's
-    # zero-skipping wins
+    # dense rows show numpy's convolve at its best; the sparse rows are the
+    # shape valuation workloads actually have (gap series keep a handful of
+    # nonzero coefficients)
     rng = np.random.default_rng(42)
-    print(f"{'case':<32}{'numpy':>12}{'numba':>12}{'speedup':>10}")
+    print(f"{'case':<32}{'time':>12}")
     cases = []
     for p, m in [(2, 1), (5, 1), (2, 2)]:
         for n in (256, 1024, 4096):
@@ -54,18 +52,10 @@ def bench_mul(repeats):
         red = ctx.reduction_array
         a = _random_series(rng, n, m, p, density)
         b = _random_series(rng, n, m, p, density)
-        t_np = time_call(_kernels.series_mul_numpy, a, b, red, p, n,
-                         repeats=repeats)
+        elapsed = time_call(series_mul, a, b, red, p, n, repeats=repeats)
         kind = "dense" if density == 1.0 else "sparse"
         label = f"mul p={p} m={m} N={n} {kind}"
-        if _kernels.backend() == "numba":
-            jit = _kernels._MUL_JIT
-            jit(a, b, red, p, n)  # compile outside the timer
-            t_nb = time_call(jit, a, b, red, p, n, repeats=repeats)
-            print(f"{label:<32}{t_np * 1e3:>10.2f}ms"
-                  f"{t_nb * 1e3:>10.2f}ms{t_np / t_nb:>9.1f}x")
-        else:
-            print(f"{label:<32}{t_np * 1e3:>10.2f}ms{'n/a':>12}{'':>10}")
+        print(f"{label:<32}{elapsed * 1e3:>10.2f}ms")
 
 
 def bench_valuation(repeats):
@@ -77,17 +67,16 @@ def bench_valuation(repeats):
         value, cert = V.valuate_with_certificate(f)
         assert value == 720 and cert == 1024
 
-    run()  # warm compile and caches
+    run()  # warm caches
     best = time_call(run, repeats=repeats)
-    print(f"\nvaluation workload (order 720, escalates to N=1024, "
-          f"backend={_kernels.backend()}): {best * 1e3:.1f}ms")
+    print(f"\nvaluation workload (order 720, escalates to N=1024): "
+          f"{best * 1e3:.1f}ms")
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--repeats", type=int, default=5)
     args = ap.parse_args()
-    print(f"active backend: {_kernels.backend()}")
     bench_mul(args.repeats)
     bench_valuation(args.repeats)
 

@@ -48,7 +48,8 @@ class TruncatedSeries:
     @classmethod
     def one(cls, ctx, precision) -> "TruncatedSeries":
         arr = np.zeros((precision, ctx.m), dtype=np.int64)
-        arr[0, 0] = 1
+        if precision:
+            arr[0, 0] = 1
         return cls(ctx, arr)
 
     def element_at(self, i: int) -> FieldElement:
@@ -172,7 +173,8 @@ def _rows(first: FieldElement, ratio: FieldElement) -> np.ndarray:
 
 
 class _Powers:
-    """Powers of one series, exact modulo t^n, memoized for one call.
+    """Powers of one series, exact modulo t^n, memoized for one call; a
+    power already known to a higher precision is truncated, not recomputed.
 
     In characteristic p, (sum a_i t^i)^p = sum a_i^p t^(ip): the p-th power
     of a series is a Frobenius stretch, which costs no product.  Hence
@@ -194,9 +196,9 @@ class _Powers:
         """base^k modulo t^n for k >= 1, or None where it vanishes."""
         if self.order is None or k * self.order >= n:
             return None
-        out = self.cache.get((k, n))
-        if out is not None:
-            return out
+        out = self.cache.get(k)
+        if out is not None and out.shape[0] >= n:
+            return out[:n]
         p, red = self.ctx.p, self.ctx.reduction_array
         if k == 1:
             out = self.base[:n]
@@ -210,7 +212,7 @@ class _Powers:
             out = self._stretch(self.power(q, -(-n // p)), n)
             if d:
                 out = series_mul(self.power(d, n), out, red, p, n)
-        self.cache[(k, n)] = out
+        self.cache[k] = out
         return out
 
     def _stretch(self, s: np.ndarray, n: int) -> np.ndarray:
@@ -237,7 +239,10 @@ def substitute_series(f: MultiPoly, images, precision: int) -> TruncatedSeries:
     Terms are grouped by their other exponents; each group costs one dense
     product D of image powers (see _Powers), and each of its terms
     c * t^a * D adds the rows of D, multiplied by c, a places down.  Terms
-    with a >= precision drop out.
+    with a >= precision drop out.  A term uses only D modulo
+    t^(precision - a), so D and its powers are computed only modulo
+    t^(precision - min a) over the group's terms; if D vanishes there, the
+    whole group vanishes.
     """
     if len(images) != f.nvars:
         raise ValueError(
@@ -263,14 +268,15 @@ def substitute_series(f: MultiPoly, images, precision: int) -> TruncatedSeries:
     scalings: dict = {}
     acc = np.zeros((n, ctx.m), dtype=np.int64)
     for rest, terms in groups.items():
+        need = n - min(a for a, _ in terms)
         prod = None  # the empty product, 1
         for j, e in enumerate(rest):
             if e:
-                pw = powers[j].power(e, n)
+                pw = powers[j].power(e, need)
                 if pw is None:
                     break  # the whole group vanishes modulo t^n
                 prod = pw if prod is None else series_mul(
-                    prod, pw, ctx.reduction_array, p, n)
+                    prod, pw, ctx.reduction_array, p, need)
         else:
             for a, c in terms:
                 if prod is None:

@@ -28,12 +28,3 @@ def f5():
 @pytest.fixture
 def rng():
     return random.Random(20260809)
-
-
-@pytest.fixture(scope="session")
-def warm_kernels():
-    """Compile the JIT kernels up front so timed sections measure arithmetic."""
-    from charp import _kernels
-    _kernels.warmup(make_context(2))
-    _kernels.warmup(make_context(2, 2))
-    return _kernels.backend()

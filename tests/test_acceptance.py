@@ -2,8 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines; every
 stated count, tolerance (all checks here are exact), and time bound is
-enforced in the assertions.  JIT kernels are compiled by a session fixture
-before any timed section runs.
+enforced in the assertions.
 """
 
 import random
@@ -105,7 +104,7 @@ def test_criterion_3_composition_law():
           f"multiplier formula, {failures} failures")
 
 
-def test_criterion_4_chain_instance(warm_kernels):
+def test_criterion_4_chain_instance():
     ctx = make_context(2)
     start = time.monotonic()
     c = parse_poly("x + y", ctx, 2)
@@ -137,7 +136,7 @@ def test_criterion_5_canonical_splitting():
           + (f"; failures: {bad}" if bad else ""))
 
 
-def test_criterion_6_valuation_axioms(warm_kernels):
+def test_criterion_6_valuation_axioms():
     rng = random.Random(606)
     ctx = make_context(2)
     V = EmbeddingValuation(ctx, [lacunary(ctx)], precision_cap=4096)
@@ -162,7 +161,7 @@ def test_criterion_6_valuation_axioms(warm_kernels):
           f"ultrametric bound, {failures} failures, {elapsed:.2f}s (< 30s)")
 
 
-def test_criterion_7_distinguishing_fraction(warm_kernels):
+def test_criterion_7_distinguishing_fraction():
     ctx = make_context(2)
     p_stream = lacunary(ctx)
     q_stream = parse_stream_spec("lacunary+t^3", ctx)
@@ -183,7 +182,7 @@ def test_criterion_7_distinguishing_fraction(warm_kernels):
           f"in V_q only; {elapsed:.3f}s (< 1s)")
 
 
-def test_criterion_8_pairwise_separation(warm_kernels):
+def test_criterion_8_pairwise_separation():
     ctx = make_context(2)
     cat = builtin_streams(ctx)
     names = ["lacunary", "lacunary-shift(1)", "geometric-gap(2)",
@@ -260,7 +259,7 @@ def test_criterion_10_compatibility_hand_cases():
           "not compatible with g=1, by exhaustive basis enumeration")
 
 
-def test_criterion_11_dvr_report(warm_kernels):
+def test_criterion_11_dvr_report():
     ctx = make_context(2)
     V = EmbeddingValuation(ctx, [lacunary(ctx)])
     rep = dvr_report(V, samples=50)

@@ -44,13 +44,13 @@ def run_cli(capsys, cmdline):
 class TestGolden:
     @pytest.mark.parametrize("cmdline,expected", GOLDEN,
                              ids=[g[0][:40] for g in GOLDEN])
-    def test_byte_identical_output(self, warm_kernels, capsys, cmdline,
+    def test_byte_identical_output(self, capsys, cmdline,
                                    expected):
         code, out, _ = run_cli(capsys, cmdline)
         assert code == 0
         assert out == expected + "\n"
 
-    def test_readme_examples_are_live(self, warm_kernels, capsys):
+    def test_readme_examples_are_live(self, capsys):
         """Every `$ charp ...` block in the README must reproduce its
         documented output byte for byte."""
         text = README.read_text()
@@ -139,7 +139,7 @@ class TestExitCodes:
         assert "StreamsAgree" in err
         assert out == ""
 
-    def test_math_error_precision_exhausted(self, warm_kernels, capsys):
+    def test_math_error_precision_exhausted(self, capsys):
         code, _, err = run_cli(
             capsys,
             "val --p 2 --stream t --precision-cap 64 'y - x'")
@@ -199,7 +199,7 @@ class TestBehaviors:
         assert [v["claim"] for v in payload["verdicts"]][1] == \
             "R is excellent"
 
-    def test_report_dvr_json(self, warm_kernels, capsys):
+    def test_report_dvr_json(self, capsys):
         code, out, _ = run_cli(
             capsys, "report dvr --p 2 --stream lacunary --samples 5")
         assert code == 0
@@ -207,7 +207,7 @@ class TestBehaviors:
         assert len(payload["verdicts"]) == 5
         assert payload["verdicts"][0]["claim"] == "V is not divisorial"
 
-    def test_report_dvr_versus(self, warm_kernels, capsys):
+    def test_report_dvr_versus(self, capsys):
         code, out, _ = run_cli(
             capsys,
             "report dvr --p 2 --stream lacunary --versus lacunary+t^3 "
@@ -241,18 +241,18 @@ class TestBehaviors:
         assert code == 0
         assert json.loads(out)["ok"] is True
 
-    def test_val_pretty(self, warm_kernels, capsys):
+    def test_val_pretty(self, capsys):
         code, out, _ = run_cli(
             capsys, "val --p 2 --stream lacunary --pretty 'x'")
         assert code == 0
         assert "value" in out
 
-    def test_val_zero_polynomial(self, warm_kernels, capsys):
+    def test_val_zero_polynomial(self, capsys):
         code, out, _ = run_cli(capsys, "val --p 2 --stream lacunary '0'")
         assert code == 0
         assert json.loads(out)["value"] == "inf"
 
-    def test_val_poly_flag_form(self, warm_kernels, capsys):
+    def test_val_poly_flag_form(self, capsys):
         code, out, _ = run_cli(
             capsys, "val --p 2 --stream lacunary --poly 'y - x - x^2'")
         assert code == 0

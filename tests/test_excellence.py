@@ -102,7 +102,7 @@ class TestSolidity:
 
 
 @pytest.fixture(scope="module")
-def V(warm_kernels):
+def V():
     ctx = make_context(2)
     return EmbeddingValuation(ctx, [lacunary(ctx)])
 
@@ -138,7 +138,7 @@ class TestDvrReport:
         assert dvr_report(V, samples=8, seed=3).to_dict() == \
             dvr_report(V, samples=8, seed=3).to_dict()
 
-    def test_cross_reference_shared_by_both_reports(self, warm_kernels, f2):
+    def test_cross_reference_shared_by_both_reports(self, f2):
         a = lacunary(f2)
         b = parse_stream_spec("lacunary+t^3", f2)
         V_a = EmbeddingValuation(f2, [a])

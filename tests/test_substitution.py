@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import charp.series
+from charp._kernels import series_mul
 from charp.ffield import make_context
 from charp.poly import EXPONENT_LIMIT, MultiPoly
 from charp.series import TruncatedSeries, substitute_series
@@ -53,6 +55,7 @@ def substitutions(draw):
     digits = [k for k in (p, p + 1, p * p, 2 * p * p + 3)
               if k <= EXPONENT_LIMIT]
     exponent = st.one_of(st.integers(0, 6), st.sampled_from(digits),
+                         st.integers(max(0, n - 8), n - 1),  # near the end
                          st.integers(n, 2 * n + 3))  # shifts >= precision
     constant_only = draw(st.booleans())
     terms = {}
@@ -79,6 +82,26 @@ def test_t_image_detected_below_the_precision():
     got = substitute_series(f, [image], 6)
     assert got == TruncatedSeries.from_elements(ctx, [0, 0, 1, 0, 0, 0])
     assert got == reference(f, [image], 6)
+
+
+@pytest.mark.parametrize("pm", [(2, 1), (3, 2), (1048573, 3)])
+@pytest.mark.parametrize("k", [1, 5, 19])
+def test_group_product_stops_where_its_shift_leaves_off(pm, k, monkeypatch):
+    """x^(n-k) * z^5 with x -> t needs z^5 only modulo t^k."""
+    ctx = make_context(*pm)
+    n = 64
+    nouts = []
+
+    def counting(a, b, red, p, nout):
+        nouts.append(nout)
+        return series_mul(a, b, red, p, nout)
+
+    monkeypatch.setattr(charp.series, "series_mul", counting)
+    f = MultiPoly.from_terms(ctx, 2, {(n - k, 5): ctx.one})
+    images = [t_series(ctx, n), random_series(ctx, n, 0, 1.0, seed=k)]
+    got = substitute_series(f, images, n)
+    assert nouts and max(nouts) <= k
+    assert got == reference(f, images, n)
 
 
 @pytest.mark.parametrize("pm", [(p, m) for p in (2, 3, 5) for m in (1, 2, 3)])

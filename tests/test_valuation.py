@@ -18,7 +18,7 @@ from charp.valuation import (INFINITY, EmbeddingValuation,
 
 
 @pytest.fixture(scope="module")
-def V(warm_kernels):
+def V():
     ctx = make_context(2)
     return EmbeddingValuation(ctx, [lacunary(ctx)])
 
@@ -46,7 +46,7 @@ class TestValuate:
         # p(t) - t - t^2 starts at the next factorial exponent, 6
         assert V.valuate(parse_poly("y - x - x^2", f2, 2)) == 6
 
-    def test_deep_gap_requires_escalation(self, warm_kernels, f2):
+    def test_deep_gap_requires_escalation(self, f2):
         V = EmbeddingValuation(f2, [lacunary(f2)])
         f = parse_poly("y - x - x^2 - x^6 - x^24 - x^120", f2, 2)
         value, cert = V.valuate_with_certificate(f)
@@ -121,7 +121,7 @@ class TestValuate:
         V = EmbeddingValuation(f2, [], precision_cap=2)
         assert V.valuate(parse_poly("x", f2, 1)) == 1
 
-    def test_three_variable_embedding(self, warm_kernels, f2):
+    def test_three_variable_embedding(self, f2):
         V3 = EmbeddingValuation(f2, [lacunary(f2), from_seed(f2, 7)])
         assert V3.nvars == 3
         assert V3.valuate(parse_poly("x", f2, 3)) == 1
@@ -146,7 +146,7 @@ class TestRationalAndResidue:
         assert V.in_ring(r)
         assert V.residue(r) == f2.zero
 
-    def test_residue_of_constants(self, warm_kernels):
+    def test_residue_of_constants(self):
         ctx = make_context(5)
         V5 = EmbeddingValuation(ctx, [lacunary(ctx)])
         for c in range(1, 5):
@@ -166,7 +166,7 @@ class TestRationalAndResidue:
         assert V.valuate_rational(r) == 0
         assert V.residue(r) == f2.one
 
-    def test_residue_multiplicative_on_units(self, warm_kernels, rng):
+    def test_residue_multiplicative_on_units(self, rng):
         ctx = make_context(5)
         V5 = EmbeddingValuation(ctx, [lacunary(ctx)])
         for _ in range(10):
@@ -189,7 +189,7 @@ class TestDistinguishing:
         assert fraction_construction_string(p_stream, i) == \
             "x^3/(y-x-x^2)"
 
-    def test_membership_asymmetry(self, warm_kernels, f2):
+    def test_membership_asymmetry(self, f2):
         p_stream = lacunary(f2)
         q_stream = parse_stream_spec("lacunary+t^3", f2)
         i, frac = distinguishing_fraction(p_stream, q_stream)
@@ -207,7 +207,7 @@ class TestDistinguishing:
         a, b = lacunary(f2), from_seed(f2, 7)
         assert first_difference(a, b) == first_difference(b, a)
 
-    def test_pairwise_over_catalog(self, warm_kernels, f2):
+    def test_pairwise_over_catalog(self, f2):
         cat = builtin_streams(f2)
         names = sorted(cat)
         for idx, na in enumerate(names):
@@ -220,7 +220,7 @@ class TestDistinguishing:
 
 
 class TestConcurrency:
-    def test_concurrent_valuations_agree(self, warm_kernels, f2):
+    def test_concurrent_valuations_agree(self, f2):
         V = EmbeddingValuation(f2, [lacunary(f2)])
         f = parse_poly("y - x - x^2 - x^6 - x^24", f2, 2)
 
