@@ -7,6 +7,12 @@ polynomial ring this representation is complete: the pushforward is free,
 its Hom into the ring is generated by the top projection, and distinct
 multipliers give distinct maps.
 
+Both the map and its compatibility with monomial ideals are computed from
+exponent residues modulo p^e: a product term reaches the top component
+only when its factors' residues add up to p^e - 1 in every variable, so
+neither ever forms the full product g*f or enumerates the reduced
+monomials.
+
 Composition follows the convention compose(outer, inner)(f) =
 outer(inner(f)); the composite has level e_outer + e_inner and multiplier
 frobenius_image(g_outer, e_inner) * g_inner.  That formula is not taken on
@@ -15,10 +21,12 @@ faith: the test suite checks it against directly chained applications.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .errors import ContextMismatch
 from .ffield import pth_root
-from .frobenius import free_basis, frobenius_image
-from .poly import (MonomialIdeal, MultiPoly, format_poly, random_poly)
+from .frobenius import frobenius_image
+from .poly import MonomialIdeal, MultiPoly, format_poly, random_poly
 
 
 def trace_project(f: MultiPoly, e: int) -> MultiPoly:
@@ -37,6 +45,21 @@ def trace_project(f: MultiPoly, e: int) -> MultiPoly:
             beta = tuple((a - top) // pe for a in exp)
             terms[beta] = pth_root(coeff, e)
     return MultiPoly(f.ctx, f.nvars, terms)
+
+
+def _largest_exponent(exps) -> int:
+    return max(chain.from_iterable(exps), default=0)
+
+
+def _capped_level(p: int, e: int, cap: int) -> int:
+    """min(p^e, cap) for cap >= 1, without forming p^e when it is larger.
+
+    Exponents below the cap divide by either value in the same way, so the
+    cap stands in for a p^e too large to write down.
+    """
+    if e >= cap.bit_length():  # p^e >= 2^e > cap
+        return cap
+    return min(p ** e, cap)
 
 
 class CartierMap:
@@ -59,9 +82,37 @@ class CartierMap:
         return self.g.nvars
 
     def apply(self, f: MultiPoly) -> MultiPoly:
+        """trace_project(g*f, e), forming only the products that reach it.
+
+        Write each exponent as q*quotient + residue with q = p^e.  Residues
+        in [0, q) add up to q - 1 in every variable exactly when their
+        product lands on the top component, and the product then
+        contributes at the sum of the quotients.  So g's terms are bucketed
+        by residue and each term of f meets only the bucket at its
+        complementary residue.  When q - 1 is above every exponent sum no
+        product reaches the top, and the same holds with q capped at the
+        largest sum plus 2, so a huge level never forms p^e.
+        """
         if f.ctx is not self.ctx or f.nvars != self.nvars:
             raise ContextMismatch("polynomial does not match the map's ring")
-        return trace_project(self.g * f, self.e)
+        q = _capped_level(
+            self.ctx.p, self.e,
+            _largest_exponent(self.g.terms) + _largest_exponent(f.terms) + 2)
+        top = q - 1
+        buckets: dict = {}
+        for gamma, c in self.g.terms.items():
+            buckets.setdefault(tuple(a % q for a in gamma), []).append(
+                (tuple(a // q for a in gamma), c))
+        sums: dict = {}
+        for beta, d in f.terms.items():
+            partner = tuple(top - b % q for b in beta)
+            for quot, c in buckets.get(partner, ()):
+                exp = tuple(a + b // q for a, b in zip(quot, beta))
+                acc = sums.get(exp)
+                sums[exp] = c * d if acc is None else acc + c * d
+        return MultiPoly(self.ctx, self.nvars,
+                         {exp: pth_root(s, self.e)
+                          for exp, s in sums.items() if s})
 
     def is_splitting(self) -> bool:
         one = MultiPoly.const(self.ctx, self.nvars, 1)
@@ -117,23 +168,27 @@ def check_linearity(phi: CartierMap, trials: int, rng) -> bool:
     return True
 
 
-def check_compatible(phi: CartierMap, ideal: MonomialIdeal,
-                     basis_bound=None) -> bool:
+def check_compatible(phi: CartierMap, ideal: MonomialIdeal) -> bool:
     """Whether phi maps the pushforward of the ideal back into the ideal.
 
-    The pushforward of a monomial ideal is generated over the base ring by
-    the products u*b with u a minimal generator and b a reduced basis
-    monomial, so checking those finitely many images suffices.
+    The pushforward of a monomial ideal I is generated over the ring by the
+    products u*b, u a generator and b a reduced monomial (exponents in
+    [0, q), q = p^e).  A term gamma of the multiplier reaches the top
+    residue q - 1 on u*b for exactly one b, b = (q - 1 - gamma - u) mod q,
+    and there gives the monomial x^((gamma + u + b - (q - 1))/q), which is
+    x^floor((gamma + u)/q).  Distinct terms of g give distinct monomials,
+    so nothing cancels, and phi is compatible with I exactly when every
+    floor((gamma + u)/q) lies in I.  That is |generators| * |terms of g|
+    membership tests, whatever the rank p^(e*n) of the pushforward.  A q
+    above every sum gamma + u makes each quotient 0, as does q capped at
+    the largest sum plus 1, so a huge level never forms p^e.
     """
-    ctx, n = phi.ctx, phi.nvars
+    n = phi.nvars
     if ideal.nvars != n:
         raise ContextMismatch("ideal and map variable counts differ")
-    kwargs = {} if basis_bound is None else {"bound": basis_bound}
-    basis = free_basis(n, ctx.p, phi.e, **kwargs)
-    for gen in ideal.generators:
-        u = MultiPoly.monomial(ctx, n, gen)
-        for b in basis:
-            image = phi.apply(u * MultiPoly.monomial(ctx, n, b))
-            if not ideal.member(image):
-                return False
-    return True
+    gens = ideal.generators
+    q = _capped_level(
+        phi.ctx.p, phi.e,
+        _largest_exponent(phi.g.terms) + _largest_exponent(gens) + 1)
+    return all(ideal.contains(tuple((a + b) // q for a, b in zip(gamma, u)))
+               for u in gens for gamma in phi.g.terms)

@@ -360,9 +360,11 @@ class MonomialIdeal:
         """True iff every term of f is divisible by some generator."""
         if f.nvars != self.nvars:
             raise ContextMismatch("polynomial and ideal variable counts differ")
-        return all(
-            any(_divides(g, exp) for g in self.generators)
-            for exp in f.terms)
+        return all(self.contains(exp) for exp in f.terms)
+
+    def contains(self, exp: Exponent) -> bool:
+        """True iff the monomial with this exponent lies in the ideal."""
+        return any(_divides(g, exp) for g in self.generators)
 
     def __str__(self):
         return "(" + ", ".join(

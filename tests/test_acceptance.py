@@ -256,7 +256,8 @@ def test_criterion_10_compatibility_hand_cases():
           and check_compatible(phi_unit, J_x2) is False)
     _line(10, ok,
           "(x) is compatible with the canonical splitting and (x^2) is "
-          "not compatible with g=1, by exhaustive basis enumeration")
+          "not compatible with g=1, by the closed form floor((gamma+u)/p^e) "
+          "in J, cross-checked against exhaustive basis enumeration")
 
 
 def test_criterion_11_dvr_report():

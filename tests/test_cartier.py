@@ -1,14 +1,74 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_cartier as reference
 from charp.cartier import (CartierMap, canonical_splitting, check_compatible,
                            check_linearity, compose, is_splitting,
                            trace_project)
-from charp.errors import ContextMismatch
+from charp.errors import ContextMismatch, ExponentOverflow
 from charp.ffield import make_context
 from charp.frobenius import decompose, free_basis, frobenius_image
 from charp.parser import parse_poly
-from charp.poly import (MonomialIdeal, MultiPoly, member, random_poly,
-                        random_nonzero_poly)
+from charp.poly import (EXPONENT_LIMIT, MonomialIdeal, MultiPoly, member,
+                        random_poly, random_nonzero_poly)
+
+FIELDS = [(p, m) for p in (2, 3, 5) for m in (1, 2, 3)]
+MAX_RANK = 4096
+
+
+@st.composite
+def maps(draw):
+    """A map over a drawn field in 0-3 variables at a level e <= 3 whose
+    pushforward has rank p^(e*n) <= 4096, with a polynomial drawer whose
+    exponents sit around, at and well above q = p^e, from a few values so
+    that products collide and cancel."""
+    p, m = draw(st.sampled_from(FIELDS))
+    ctx = make_context(p, m)
+    n = draw(st.integers(0, 3))
+    e = draw(st.sampled_from(
+        [e for e in (1, 2, 3) if p ** (e * n) <= MAX_RANK]))
+    q = p ** e
+    exponent = st.one_of(st.integers(0, 3),
+                         st.sampled_from([q - 2, q - 1, q, q + 1, 2 * q - 1]),
+                         st.integers(2 * q, 5 * q))
+
+    def poly(max_terms):
+        terms = {}
+        for _ in range(draw(st.integers(0, max_terms))):
+            exp = tuple(draw(exponent) for _ in range(n))
+            k = draw(st.integers(1, p ** m - 1))
+            terms[exp] = ctx.elem([k // p ** i % p for i in range(m)])
+        return MultiPoly.from_terms(ctx, n, terms)
+
+    return CartierMap(e, poly(5)), poly, exponent
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_apply_matches_reference(data):
+    phi, poly, _ = data.draw(maps())
+    f = poly(8)
+    assert phi.apply(f) == reference.apply(phi, f)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_compatible_matches_enumeration(data):
+    """Zero multipliers, the unit ideal, the zero ideal and generating sets
+    with redundant members all come up."""
+    phi, _, exponent = data.draw(maps())
+    n = phi.nvars
+    gens = [tuple(data.draw(exponent) for _ in range(n))
+            for _ in range(data.draw(st.integers(0, 3)))]
+    if data.draw(st.integers(0, 3)) == 0:
+        gens.append((0,) * n)
+    for u in list(gens):  # multiples of generators are redundant
+        if data.draw(st.booleans()):
+            gens.append(tuple(a + data.draw(st.integers(0, 3)) for a in u))
+    ideal = MonomialIdeal(n, gens)
+    assert check_compatible(phi, ideal) == \
+        reference.check_compatible(phi, ideal)
 
 
 class TestTraceProject:
@@ -63,6 +123,26 @@ class TestApply:
         phi = CartierMap(1, parse_poly("x", f2, 1))
         with pytest.raises(ContextMismatch):
             phi.apply(parse_poly("x", f3, 1))
+
+    def test_discarded_product_may_exceed_the_exponent_limit(self, f2):
+        # x^(2^31 - 2) * x^2 leaves the 32-bit range but lies off the top
+        # residue; only x^(2^31 - 2) * x reaches the top component
+        phi = CartierMap(1, MultiPoly.monomial(f2, 1, (EXPONENT_LIMIT - 1,)))
+        f = parse_poly("x^2 + x", f2, 1)
+        with pytest.raises(ExponentOverflow):
+            reference.apply(phi, f)
+        assert phi.apply(f) == \
+            MultiPoly.monomial(f2, 1, ((EXPONENT_LIMIT - 1) // 2,))
+
+    def test_level_beyond_every_exponent(self, f5):
+        # q - 1 above every exponent sum: nothing reaches the top residue,
+        # except with no variables, where every product does
+        big = 10 ** 8
+        assert CartierMap(big, parse_poly("x^3*y^3", f5, 2)).apply(
+            parse_poly("x^7*y^7 + 1", f5, 2)).is_zero
+        phi = CartierMap(big, MultiPoly.const(f5, 0, 2))
+        assert phi.apply(MultiPoly.const(f5, 0, 3)) == \
+            MultiPoly.const(f5, 0, 1)
 
     def test_linearity_law_random(self, rng):
         for p, m in [(2, 1), (3, 1), (5, 1), (2, 2)]:
@@ -232,3 +312,26 @@ class TestCheckCompatible:
         image = phi.apply(parse_poly("x^3", f2, 1))
         assert image == parse_poly("x", f2, 1)
         assert not member(J, image)
+
+    def test_rank_beyond_enumeration(self, f2):
+        # rank 2^18 at p = 2, n = 3, e = 6: floor((gamma + u)/64) decides
+        phi = CartierMap(6, parse_poly("x*y*z", f2, 3))
+        J = MonomialIdeal(3, [(1, 0, 0)])
+        assert not check_compatible(phi, J)
+        assert check_compatible(canonical_splitting(f2, 3, 6), J)
+        assert check_compatible(
+            CartierMap(6, parse_poly("x^64*y + z", f2, 3)),
+            MonomialIdeal(3, [(1, 0, 0), (0, 0, 1)])) is False
+        assert check_compatible(
+            CartierMap(6, parse_poly("x^64*y + x^63*z^70", f2, 3)),
+            MonomialIdeal(3, [(1, 0, 0), (0, 0, 1)]))
+
+    def test_level_beyond_every_exponent(self, f5):
+        # every floor((gamma + u)/q) is 0: compatible only with the unit
+        # ideal, or for the zero map
+        big = 10 ** 8
+        phi = CartierMap(big, parse_poly("x^4*y", f5, 2))
+        assert not check_compatible(phi, MonomialIdeal(2, [(1, 0)]))
+        assert check_compatible(phi, MonomialIdeal(2, [(0, 0)]))
+        assert check_compatible(CartierMap(big, MultiPoly.zero(f5, 2)),
+                                MonomialIdeal(2, [(1, 0)]))

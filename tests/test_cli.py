@@ -276,3 +276,36 @@ class TestBehaviors:
         assert {"e": 2, "g": "x^3"} in payload["failures"]
         # x^3 passes at level 1 but not level 2, so sweeping matters
         assert {"e": 1, "g": "x^3"} not in payload["failures"]
+
+    @pytest.mark.parametrize("cmdline,expected", [
+        ("cartier apply --p 5 --vars 1 --e 100000000 -g x x",
+         '{"result":"0"}'),
+        ("cartier split-check --p 5 --vars 1 --e 100000000 -g x",
+         '{"is_splitting":false}'),
+        ("cartier compat --p 5 --vars 1 --e 100000000 -g x -J x",
+         '{"compatible":false}'),
+        ("cartier compat --p 5 --vars 1 --e 100000000 -g x -J 1",
+         '{"compatible":true}'),
+        ("cartier apply --p 5 --vars 0 --e 100000000 -g 2 3",
+         '{"result":"1"}'),
+    ])
+    def test_cartier_level_beyond_every_exponent(self, capsys, cmdline,
+                                                 expected):
+        """p^e is never formed: a level above every exponent decides
+        these at once."""
+        code, out, _ = run_cli(capsys, cmdline)
+        assert code == 0
+        assert out == expected + "\n"
+
+    def test_compat_beyond_basis_enumeration(self, capsys):
+        # the pushforward has rank 2^18 here; the check does not list it
+        code, out, _ = run_cli(
+            capsys, "cartier compat --p 2 --vars 3 --e 6 -g 'x*y*z' -J 'x'")
+        assert code == 0
+        assert out == '{"compatible":false}\n'
+        code, out, _ = run_cli(
+            capsys,
+            "cartier compat --p 2 --vars 3 --e 6 -g 'x^63*y^63*z^63' "
+            "-J 'x,y*z'")
+        assert code == 0
+        assert out == '{"compatible":true}\n'
