@@ -21,12 +21,11 @@ faith: the test suite checks it against directly chained applications.
 
 from __future__ import annotations
 
-from itertools import chain
-
-from .errors import ContextMismatch
+from .errors import ContextMismatch, ExponentOverflow
 from .ffield import pth_root
-from .frobenius import frobenius_image
-from .poly import MonomialIdeal, MultiPoly, format_poly, random_poly
+from .frobenius import _capped_level, _largest_exponent, frobenius_image
+from .poly import (EXPONENT_LIMIT, MonomialIdeal, MultiPoly, format_poly,
+                   random_poly)
 
 
 def trace_project(f: MultiPoly, e: int) -> MultiPoly:
@@ -45,21 +44,6 @@ def trace_project(f: MultiPoly, e: int) -> MultiPoly:
             beta = tuple((a - top) // pe for a in exp)
             terms[beta] = pth_root(coeff, e)
     return MultiPoly(f.ctx, f.nvars, terms)
-
-
-def _largest_exponent(exps) -> int:
-    return max(chain.from_iterable(exps), default=0)
-
-
-def _capped_level(p: int, e: int, cap: int) -> int:
-    """min(p^e, cap) for cap >= 1, without forming p^e when it is larger.
-
-    Exponents below the cap divide by either value in the same way, so the
-    cap stands in for a p^e too large to write down.
-    """
-    if e >= cap.bit_length():  # p^e >= 2^e > cap
-        return cap
-    return min(p ** e, cap)
 
 
 class CartierMap:
@@ -136,7 +120,10 @@ def apply_map(phi: CartierMap, f: MultiPoly) -> MultiPoly:
 
 def canonical_splitting(ctx, nvars: int, e: int) -> CartierMap:
     """The splitting with multiplier (x_1 ... x_n)^(p^e - 1); sends 1 to 1."""
-    top = ctx.p ** e - 1
+    top = _capped_level(ctx.p, e, EXPONENT_LIMIT + 2) - 1
+    if nvars and top > EXPONENT_LIMIT:
+        raise ExponentOverflow(
+            f"exponent {ctx.p}^{e} - 1 exceeds 32-bit bound")
     g = MultiPoly.monomial(ctx, nvars, (top,) * nvars)
     return CartierMap(e, g)
 

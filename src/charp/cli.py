@@ -15,11 +15,10 @@ import random
 import sys
 
 from . import excellence
-from .cartier import CartierMap, canonical_splitting, check_linearity, compose
-from .errors import (CharpError, ContextMismatch, DegreeTooLarge,
-                     ExponentOverflow, NotInRing, NotPrime, NotSolid,
-                     PolySyntaxError, PrecisionExhausted, PrecisionMismatch,
-                     SizeBound, StreamsAgree)
+from .cartier import (CartierMap, canonical_splitting, check_compatible,
+                      check_linearity, compose)
+from .errors import (CharpError, ContextMismatch, DegreeTooLarge, NotPrime,
+                     PolySyntaxError, PrecisionMismatch)
 from .ffield import make_context
 from .frobenius import decompose as frob_decompose
 from .frobenius import recompose
@@ -32,27 +31,54 @@ from .valuation import (DEFAULT_PRECISION_CAP, EmbeddingValuation, INFINITY,
 
 USAGE_ERRORS = (NotPrime, DegreeTooLarge, PolySyntaxError, ContextMismatch,
                 PrecisionMismatch, ValueError)
-MATH_ERRORS = (PrecisionExhausted, StreamsAgree, NotSolid, NotInRing,
-               ExponentOverflow, SizeBound)
 
 
-def _field_flags(parser, with_vars=True):
-    parser.add_argument("--p", type=int, required=True,
-                        help="prime characteristic")
-    parser.add_argument("--m", type=int, default=1,
-                        help="extension degree of the coefficient field")
-    if with_vars:
-        parser.add_argument("--vars", type=int, required=True,
-                            help="number of polynomial variables")
-    parser.add_argument("--pretty", action="store_true",
-                        help="aligned text instead of JSON")
+def _at_least(low):
+    """An argparse type: an int >= low, else a usage error (exit 2)."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names it in "invalid int value"
+    return parse
 
 
-def _positive_level(value):
-    level = int(value)
-    if level < 1:
-        raise argparse.ArgumentTypeError("level must be >= 1")
-    return level
+_level = _at_least(1)
+
+# Flags shared by several subcommands; --p, --m and --pretty go on every one.
+_FLAGS = {
+    "--p": dict(type=int, required=True, help="prime characteristic"),
+    "--m": dict(type=int, default=1,
+                help="extension degree of the coefficient field"),
+    "--vars": dict(type=_at_least(0), required=True,
+                   help="number of polynomial variables (>= 0)"),
+    "--e": dict(type=_level, required=True, help="Frobenius level (>= 1)"),
+    "--precision-cap": dict(type=_level, default=DEFAULT_PRECISION_CAP,
+                            help="largest series precision tried (>= 1)"),
+    "--stream": dict(action="append", default=None,
+                     help="image stream for each variable after x (repeat "
+                          "for more variables; default lacunary when "
+                          "--vars is 2)"),
+    "--seed": dict(type=int, default=0),
+    "--pretty": dict(action="store_true", help="aligned text instead of JSON"),
+}
+
+
+def _command(subparsers, name, run, *flags, help=None, **defaults):
+    """A subcommand that runs `run` and takes --p, --m, `flags` and --pretty.
+
+    A default given here, keyed by dest (vars=2), makes that flag optional.
+    """
+    parser = subparsers.add_parser(name, help=help)
+    for flag in ("--p", "--m", *flags, "--pretty"):
+        spec = dict(_FLAGS[flag])
+        dest = flag[2:].replace("-", "_")
+        if dest in defaults:
+            spec.update(default=defaults[dest], required=False)
+        parser.add_argument(flag, **spec)
+    parser.set_defaults(run=run)
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,40 +89,28 @@ def build_parser() -> argparse.ArgumentParser:
                     "power-series-embedded valuations.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    p_dec = sub.add_parser("decompose",
-                           help="pushforward decomposition of a polynomial")
-    _field_flags(p_dec)
-    p_dec.add_argument("--e", type=_positive_level, required=True)
+    p_dec = _command(sub, "decompose", _decompose, "--vars", "--e",
+                     help="pushforward decomposition of a polynomial")
     p_dec.add_argument("poly", help="polynomial text ('-' reads stdin)")
 
     p_car = sub.add_parser("cartier", help="operations on multiplier maps")
     car_sub = p_car.add_subparsers(dest="action", required=True)
 
-    c_apply = car_sub.add_parser("apply")
-    _field_flags(c_apply)
-    c_apply.add_argument("--e", type=_positive_level, required=True)
+    c_apply = _command(car_sub, "apply", _apply, "--vars", "--e")
     c_apply.add_argument("-g", required=True, help="multiplier polynomial")
     c_apply.add_argument("poly")
 
-    c_comp = car_sub.add_parser("compose")
-    _field_flags(c_comp)
-    c_comp.add_argument("--e", type=_positive_level, required=True,
-                        help="outer level")
+    c_comp = _command(car_sub, "compose", _compose, "--vars", "--e")
     c_comp.add_argument("-g", required=True, help="outer multiplier")
-    c_comp.add_argument("--e2", type=_positive_level, required=True,
+    c_comp.add_argument("--e2", type=_level, required=True,
                         help="inner level")
     c_comp.add_argument("--g2", required=True, help="inner multiplier")
 
-    c_split = car_sub.add_parser("split-check")
-    _field_flags(c_split)
-    c_split.add_argument("--e", type=_positive_level, required=True)
+    c_split = _command(car_sub, "split-check", _split_check, "--vars", "--e")
     c_split.add_argument("-g", required=True)
 
-    c_compat = car_sub.add_parser("compat")
-    _field_flags(c_compat)
-    c_compat.add_argument("--e", type=_positive_level, default=None,
-                          help="single level to check")
-    c_compat.add_argument("--e-max", type=_positive_level, default=None,
+    c_compat = _command(car_sub, "compat", _compat, "--vars", "--e", e=None)
+    c_compat.add_argument("--e-max", type=_level, default=None,
                           help="sweep every level from 1 to this bound")
     c_compat.add_argument("-g", required=True,
                           help="multiplier polynomial, or several separated "
@@ -104,16 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
     c_compat.add_argument("-J", required=True,
                           help="comma-separated monomial generators")
 
-    p_val = sub.add_parser("val", help="valuate a polynomial or fraction")
-    p_val.add_argument("--p", type=int, required=True)
-    p_val.add_argument("--m", type=int, default=1)
-    p_val.add_argument("--vars", type=int, default=2)
-    p_val.add_argument("--stream", action="append", default=None,
-                       help="image stream for each variable after x "
-                            "(repeat for more variables; default lacunary)")
-    p_val.add_argument("--precision-cap", type=int,
-                       default=DEFAULT_PRECISION_CAP)
-    p_val.add_argument("--pretty", action="store_true")
+    p_val = _command(sub, "val", _val, "--vars", "--stream", "--precision-cap",
+                     help="valuate a polynomial or fraction", vars=2)
     p_val.add_argument("--poly", dest="poly_flag", default=None,
                        help="polynomial or num/den (alternative to the "
                             "positional form)")
@@ -122,39 +128,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dvr = sub.add_parser("dvr", help="compare embedding valuation rings")
     dvr_sub = p_dvr.add_subparsers(dest="action", required=True)
-    d_dist = dvr_sub.add_parser("distinguish")
-    d_dist.add_argument("--p", type=int, required=True)
-    d_dist.add_argument("--m", type=int, default=1)
+    d_dist = _command(dvr_sub, "distinguish", _distinguish, "--precision-cap")
     d_dist.add_argument("--stream-a", required=True)
     d_dist.add_argument("--stream-b", required=True)
-    d_dist.add_argument("--precision-cap", type=int,
-                        default=DEFAULT_PRECISION_CAP)
-    d_dist.add_argument("--pretty", action="store_true")
 
     p_rep = sub.add_parser("report", help="evidence-backed reports")
     rep_sub = p_rep.add_subparsers(dest="kind", required=True)
-    r_poly = rep_sub.add_parser("poly-ring")
-    _field_flags(r_poly)
-    r_poly.add_argument("--e", type=_positive_level, required=True)
-    r_dvr = rep_sub.add_parser("dvr")
-    r_dvr.add_argument("--p", type=int, required=True)
-    r_dvr.add_argument("--m", type=int, default=1)
-    r_dvr.add_argument("--vars", type=int, default=2)
-    r_dvr.add_argument("--stream", action="append", default=None)
+    _command(rep_sub, "poly-ring", _report_poly_ring, "--vars", "--e")
+    r_dvr = _command(rep_sub, "dvr", _report_dvr, "--vars", "--stream",
+                     "--seed", "--precision-cap", vars=2)
     r_dvr.add_argument("--versus", default=None,
                        help="cross-reference a second stream")
     r_dvr.add_argument("--samples", type=int, default=50)
-    r_dvr.add_argument("--seed", type=int, default=0)
-    r_dvr.add_argument("--precision-cap", type=int,
-                       default=DEFAULT_PRECISION_CAP)
-    r_dvr.add_argument("--pretty", action="store_true")
 
-    p_self = sub.add_parser("selftest", help="run a quick property bundle")
-    p_self.add_argument("--p", type=int, default=2)
-    p_self.add_argument("--m", type=int, default=1)
-    p_self.add_argument("--seed", type=int, default=0)
+    p_self = _command(sub, "selftest", _selftest, "--seed",
+                      help="run a quick property bundle", p=2)
     p_self.add_argument("--trials", type=int, default=100)
-    p_self.add_argument("--pretty", action="store_true")
 
     return top
 
@@ -174,126 +163,106 @@ def _pretty_flat(obj: dict) -> str:
     return "\n".join(f"{str(k).ljust(width)}  {v}" for k, v in obj.items())
 
 
-def _value_json(v):
-    return "inf" if v == INFINITY else v
-
-
-def _streams_for(args, count, ctx):
-    specs = args.stream if args.stream else ["lacunary"]
-    if len(specs) != count:
-        raise ValueError(
-            f"--vars {count + 1} needs {count} --stream image(s), "
-            f"got {len(specs)}")
-    return [parse_stream_spec(s, ctx) for s in specs]
-
-
-def _cmd_decompose(args):
-    ctx = make_context(args.p, args.m)
-    f = parse_poly(_read_poly_arg(args.poly), ctx, args.vars)
-    d = frob_decompose(f, args.e)
-    result = {format_monomial(rho, args.vars): format_poly(part)
-              for rho, part in d.sorted_components()}
-    if args.pretty:
-        return _pretty_flat(result) if result else "(zero polynomial)"
-    return _json(result)
-
-
-def _cmd_cartier(args):
-    ctx = make_context(args.p, args.m)
-    if args.action == "apply":
-        g = parse_poly(args.g, ctx, args.vars)
-        phi = CartierMap(args.e, g)
-        f = parse_poly(_read_poly_arg(args.poly), ctx, args.vars)
-        result = {"result": format_poly(phi.apply(f))}
-    elif args.action == "compose":
-        outer = CartierMap(args.e, parse_poly(args.g, ctx, args.vars))
-        inner = CartierMap(args.e2, parse_poly(args.g2, ctx, args.vars))
-        comp = compose(outer, inner)
-        result = {"e": comp.e, "multiplier": format_poly(comp.g)}
-    elif args.action == "split-check":
-        phi = CartierMap(args.e, parse_poly(args.g, ctx, args.vars))
-        result = {"is_splitting": phi.is_splitting()}
-    else:  # compat
-        from .cartier import check_compatible
-        if (args.e is None) == (args.e_max is None):
-            raise ValueError("give exactly one of --e or --e-max")
-        gens = [parse_poly(p, ctx, args.vars) for p in args.J.split(",")]
-        ideal = MonomialIdeal.from_polys(gens)
-        multipliers = [parse_poly(t, ctx, args.vars)
-                       for t in args.g.split(";")]
-        levels = ([args.e] if args.e is not None
-                  else list(range(1, args.e_max + 1)))
-        failures = []
-        for g in multipliers:
-            for e in levels:
-                if not check_compatible(CartierMap(e, g), ideal):
-                    failures.append({"e": e, "g": format_poly(g)})
-        if len(multipliers) == 1 and len(levels) == 1:
-            result = {"compatible": not failures}
-        else:
-            result = {"compatible": not failures,
-                      "checked": len(multipliers) * len(levels),
-                      "failures": failures}
-    return _pretty_flat(result) if args.pretty else _json(result)
-
-
-def _cmd_val(args):
-    ctx = make_context(args.p, args.m)
+def _valuation(args, ctx) -> EmbeddingValuation:
+    """x -> t and one --stream image per further variable; lacunary is the
+    default only when exactly one image is needed."""
     if args.vars < 1:
         raise ValueError("--vars must be >= 1")
+    count = args.vars - 1
+    specs = args.stream or (["lacunary"] if count == 1 else [])
+    if len(specs) != count:
+        raise ValueError(
+            f"--vars {args.vars} needs {count} --stream image(s), "
+            f"got {len(specs)}")
+    return EmbeddingValuation(ctx, [parse_stream_spec(s, ctx) for s in specs],
+                              precision_cap=args.precision_cap)
+
+
+def _decompose(args, ctx):
+    f = parse_poly(_read_poly_arg(args.poly), ctx, args.vars)
+    result = {format_monomial(rho, args.vars): format_poly(part)
+              for rho, part in frob_decompose(f, args.e).sorted_components()}
+    return result if result or not args.pretty else "(zero polynomial)"
+
+
+def _apply(args, ctx):
+    phi = CartierMap(args.e, parse_poly(args.g, ctx, args.vars))
+    f = parse_poly(_read_poly_arg(args.poly), ctx, args.vars)
+    return {"result": format_poly(phi.apply(f))}
+
+
+def _compose(args, ctx):
+    outer = CartierMap(args.e, parse_poly(args.g, ctx, args.vars))
+    inner = CartierMap(args.e2, parse_poly(args.g2, ctx, args.vars))
+    comp = compose(outer, inner)
+    return {"e": comp.e, "multiplier": format_poly(comp.g)}
+
+
+def _split_check(args, ctx):
+    phi = CartierMap(args.e, parse_poly(args.g, ctx, args.vars))
+    return {"is_splitting": phi.is_splitting()}
+
+
+def _compat(args, ctx):
+    if (args.e is None) == (args.e_max is None):
+        raise ValueError("give exactly one of --e or --e-max")
+    gens = [parse_poly(p, ctx, args.vars) for p in args.J.split(",")]
+    ideal = MonomialIdeal.from_polys(gens)
+    multipliers = [parse_poly(t, ctx, args.vars) for t in args.g.split(";")]
+    levels = ([args.e] if args.e is not None
+              else list(range(1, args.e_max + 1)))
+    failures = [{"e": e, "g": format_poly(g)}
+                for g in multipliers for e in levels
+                if not check_compatible(CartierMap(e, g), ideal)]
+    if len(multipliers) == 1 and len(levels) == 1:
+        return {"compatible": not failures}
+    return {"compatible": not failures,
+            "checked": len(multipliers) * len(levels),
+            "failures": failures}
+
+
+def _val(args, ctx):
     if (args.poly is None) == (args.poly_flag is None):
         raise ValueError("give the input either positionally or via --poly")
     text = args.poly if args.poly is not None else args.poly_flag
-    streams = _streams_for(args, args.vars - 1, ctx)
-    V = EmbeddingValuation(ctx, streams, precision_cap=args.precision_cap)
+    V = _valuation(args, ctx)
     r = parse_rational(_read_poly_arg(text), ctx, args.vars)
-    one = MultiPoly.const(ctx, args.vars, 1)
-    if r.den == one:
+    if r.den == MultiPoly.const(ctx, args.vars, 1):
         value, cert = V.valuate_with_certificate(r.num)
     else:
         v_num, c1 = V.valuate_with_certificate(r.num)
         v_den, c2 = V.valuate_with_certificate(r.den)
         value, cert = v_num - v_den, max(c1, c2)
-    result = {"value": _value_json(value), "precision_certified": cert}
-    return _pretty_flat(result) if args.pretty else _json(result)
+    return {"value": "inf" if value == INFINITY else value,
+            "precision_certified": cert}
 
 
-def _cmd_dvr(args):
-    ctx = make_context(args.p, args.m)
+def _distinguish(args, ctx):
     stream_a = parse_stream_spec(args.stream_a, ctx)
     stream_b = parse_stream_spec(args.stream_b, ctx)
     i, frac = distinguishing_fraction(stream_a, stream_b,
                                       cap=args.precision_cap)
-    V_a = EmbeddingValuation(ctx, [stream_a],
-                             precision_cap=args.precision_cap)
-    V_b = EmbeddingValuation(ctx, [stream_b],
-                             precision_cap=args.precision_cap)
-    result = {
+    V_a, V_b = (EmbeddingValuation(ctx, [s], precision_cap=args.precision_cap)
+                for s in (stream_a, stream_b))
+    return {
         "i": i,
         "fraction": fraction_construction_string(stream_a, i),
         "in_ring_a": V_a.in_ring(frac),
         "in_ring_b": V_b.in_ring(frac),
     }
-    return _pretty_flat(result) if args.pretty else _json(result)
 
 
-def _cmd_report(args):
-    if args.kind == "poly-ring":
-        report = excellence.f_finite_report(args.p, args.m, args.vars, args.e)
-    else:
-        ctx = make_context(args.p, args.m)
-        streams = _streams_for(args, args.vars - 1, ctx)
-        V = EmbeddingValuation(ctx, streams,
-                               precision_cap=args.precision_cap)
-        versus = (parse_stream_spec(args.versus, ctx)
-                  if args.versus else None)
-        report = excellence.dvr_report(V, versus=versus,
-                                       samples=args.samples, seed=args.seed)
-    return report.render_text() if args.pretty else report.to_json()
+def _report_poly_ring(args, ctx):
+    return excellence.f_finite_report(args.p, args.m, args.vars, args.e)
 
 
-def _cmd_selftest(args):
-    ctx = make_context(args.p, args.m)
+def _report_dvr(args, ctx):
+    versus = parse_stream_spec(args.versus, ctx) if args.versus else None
+    return excellence.dvr_report(_valuation(args, ctx), versus=versus,
+                                 samples=args.samples, seed=args.seed)
+
+
+def _selftest(args, ctx):
     rng = random.Random(args.seed)
     trials = args.trials
     checks = {}
@@ -329,40 +298,24 @@ def _cmd_selftest(args):
               and checks["linearity"]["ok"] == trials
               and checks["compose"]["ok"] == checks["compose"]["trials"]
               and splits)
-    result = {"ok": passed, "checks": checks}
-    return _pretty_flat({"ok": passed}) if args.pretty else _json(result)
-
-
-_DISPATCH = {
-    "decompose": _cmd_decompose,
-    "cartier": _cmd_cartier,
-    "val": _cmd_val,
-    "dvr": _cmd_dvr,
-    "report": _cmd_report,
-    "selftest": _cmd_selftest,
-}
+    return {"ok": passed} if args.pretty else {"ok": passed, "checks": checks}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        payload = _DISPATCH[args.command](args)
-    except MATH_ERRORS as exc:
+        payload = args.run(args, make_context(args.p, args.m))
+    except (CharpError, ValueError) as exc:
         print(_json({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
-        return 1
-    except USAGE_ERRORS as exc:
-        print(_json({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return 2
-    except CharpError as exc:
-        print(_json({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, USAGE_ERRORS) else 1
+    if isinstance(payload, excellence.ExcellenceReport):
+        payload = payload.render_text() if args.pretty else payload.to_json()
+    elif isinstance(payload, dict):
+        payload = _pretty_flat(payload) if args.pretty else _json(payload)
     print(payload)
     return 0
 

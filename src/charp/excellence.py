@@ -83,10 +83,8 @@ class ExcellenceReport:
             "verdicts": self.verdicts,
         }
 
-    def to_json(self, indent=None) -> str:
-        if indent is None:
-            return json.dumps(self.to_dict(), separators=(",", ":"))
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), separators=(",", ":"))
 
     def render_text(self) -> str:
         lines = [f"subject: {json.dumps(self.subject)}"]
@@ -111,15 +109,13 @@ def _verdict(claim, theorem_id, premise):
     return {"claim": claim, "by": theorem_id, "premise": premise}
 
 
-def f_finite_report(p: int, m: int, nvars: int, e: int,
-                    basis_bound=None) -> ExcellenceReport:
+def f_finite_report(p: int, m: int, nvars: int, e: int) -> ExcellenceReport:
     """Positive report for the polynomial ring in nvars variables over
     F_{p^m}: F-finiteness witness, splitting witness, and verdicts."""
     if e < 1:
         raise ValueError("level must be >= 1")
     ctx = make_context(p, m)
-    kwargs = {} if basis_bound is None else {"bound": basis_bound}
-    basis = free_basis(nvars, p, e, **kwargs)
+    basis = free_basis(nvars, p, e)
     splitting = canonical_splitting(ctx, nvars, e)
     splits = is_splitting(splitting)
     shown = [format_monomial(b, nvars) for b in basis[:16]]
@@ -179,12 +175,23 @@ def dvr_report(valuation: EmbeddingValuation, versus=None, samples: int = 50,
     Computes residue-field evidence (sampled value-0 elements reduce into
     the coefficient field), records the transcendence assumption on each
     builtin stream, and emits the downward verdict chain.  When `versus` is
-    another stream, the separating fraction is cross-referenced.
+    another stream, the separating fraction is cross-referenced.  The chain
+    needs at least 2 variables and every image after t assumed
+    transcendental; otherwise this raises ValueError.
     """
     ctx = valuation.ctx
     n = valuation.nvars
     if samples < 1:
         raise ValueError(f"need at least 1 sample, got {samples}")
+    if n < 2:
+        raise ValueError(
+            f"the negative chain needs at least 2 variables; V is on {n}, "
+            "and the x-adic valuation of F_p(x) is divisorial")
+    for s in valuation.streams[1:]:
+        if not s.transcendental_assumed:
+            raise ValueError(
+                f"stream {s.label!r} is not assumed transcendental, so the "
+                "embedding may not be injective and the chain need not hold")
     if versus is not None and n != 2:
         raise ValueError(
             f"separating fractions compare valuations on 2 variables; "
@@ -224,14 +231,11 @@ def dvr_report(valuation: EmbeddingValuation, versus=None, samples: int = 50,
          "by": "divisorial-residue"},
     ]
 
-    assumptions = []
-    for s in valuation.streams[1:]:
-        if s.transcendental_assumed:
-            assumptions.append({
-                "claim": f"stream {s.label!r} is transcendental over the "
-                         "rational functions in t",
-                "provenance": "builtin stream catalog",
-            })
+    assumptions = [{
+        "claim": f"stream {s.label!r} is transcendental over the rational "
+                 "functions in t",
+        "provenance": "builtin stream catalog",
+    } for s in valuation.streams[1:]]
 
     if versus is not None:
         # orient the pair by label so both streams' reports cite the same

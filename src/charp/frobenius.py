@@ -13,13 +13,31 @@ and take the p^e-th root of the coefficient.  No linear algebra is needed.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import chain, product
 
 from .errors import ExponentOverflow, SizeBound
 from .ffield import frobenius_pow, pth_root
 from .poly import EXPONENT_LIMIT, MultiPoly, format_monomial, graded_key
 
 DEFAULT_BASIS_BOUND = 1 << 16
+
+# From this level on p^e >= 2^e is above EXPONENT_LIMIT; it is never formed.
+HUGE_LEVEL = EXPONENT_LIMIT.bit_length()
+
+
+def _largest_exponent(exps) -> int:
+    return max(chain.from_iterable(exps), default=0)
+
+
+def _capped_level(p: int, e: int, cap: int) -> int:
+    """min(p^e, cap) for cap >= 1, without forming p^e when it is larger.
+
+    Exponents below the cap divide by either value in the same way, so the
+    cap stands in for a p^e too large to write down.
+    """
+    if e >= cap.bit_length():  # p^e >= 2^e > cap
+        return cap
+    return min(p ** e, cap)
 
 
 def frobenius_image(f: MultiPoly, e: int) -> MultiPoly:
@@ -28,7 +46,11 @@ def frobenius_image(f: MultiPoly, e: int) -> MultiPoly:
         raise ValueError("e must be nonnegative")
     if e == 0:
         return f
-    pe = f.ctx.p ** e
+    if e >= HUGE_LEVEL and any(map(any, f.terms)):
+        raise ExponentOverflow(
+            f"a nonzero exponent times {f.ctx.p}^{e} exceeds 32-bit bound")
+    # exponent 0 stays 0 under any p^e, so a huge one is not formed
+    pe = f.ctx.p ** min(e, HUGE_LEVEL)
     terms = {}
     for exp, coeff in f.terms.items():
         scaled = tuple(a * pe for a in exp)
@@ -76,11 +98,14 @@ def decompose(f: MultiPoly, e: int) -> FrobDecomposition:
     """Unique pushforward decomposition of f at level e >= 1."""
     if e < 1:
         raise ValueError("decomposition level must be >= 1")
-    pe = f.ctx.p ** e
+    # a modulus above every exponent splits them as p^e does, so a huge
+    # level is capped rather than formed
+    q = f.ctx.p ** e if e < HUGE_LEVEL else _capped_level(
+        f.ctx.p, e, _largest_exponent(f.terms) + 1)
     buckets: dict = {}
     for exp, coeff in f.terms.items():
-        beta = tuple(a // pe for a in exp)
-        rho = tuple(a % pe for a in exp)
+        beta = tuple(a // q for a in exp)
+        rho = tuple(a % q for a in exp)
         buckets.setdefault(rho, {})[beta] = pth_root(coeff, e)
     components = {
         rho: MultiPoly(f.ctx, f.nvars, terms)
@@ -105,11 +130,12 @@ def free_basis(nvars: int, p: int, e: int, bound: int = DEFAULT_BASIS_BOUND):
     """All level-e reduced monomials, degree-ascending; rank p^(e*nvars)."""
     if e < 1:
         raise ValueError("level must be >= 1")
-    count = p ** (e * nvars)
-    if count > bound:
+    rank = e * nvars
+    if rank >= bound.bit_length() or p ** rank > bound:  # p^rank >= 2^rank
         raise SizeBound(
-            f"free basis has {count} elements, above the bound {bound}")
-    pe = p ** e
+            f"free basis has {p}^{rank} elements, above the bound {bound}")
+    # p^e itself whenever nvars >= 1; with no variables range(pe) is unused
+    pe = _capped_level(p, e, bound)
     exps = [tuple(reversed(t)) for t in product(range(pe), repeat=nvars)]
     exps.sort(key=graded_key)
     return exps

@@ -39,9 +39,6 @@ class SeriesStream:
             raise ValueError("coefficient index must be nonnegative")
         return self.oracle(n)
 
-    def realize(self, precision: int) -> list:
-        return [self.coefficient(n) for n in range(precision)]
-
     def __repr__(self):
         return f"SeriesStream({self.label!r})"
 

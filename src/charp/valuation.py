@@ -32,7 +32,7 @@ from .streams import SeriesStream, t_stream
 INFINITY = float("inf")
 
 DEFAULT_PRECISION_CAP = 4096
-DEFAULT_START_PRECISION = 16
+START_PRECISION = 16
 
 
 def order(s: TruncatedSeries):
@@ -50,16 +50,15 @@ class EmbeddingValuation:
     prefix.
     """
 
-    def __init__(self, ctx: FieldContext, streams, precision_cap: int =
-                 DEFAULT_PRECISION_CAP,
-                 start_precision: int = DEFAULT_START_PRECISION):
+    def __init__(self, ctx: FieldContext, streams,
+                 precision_cap: int = DEFAULT_PRECISION_CAP):
         if precision_cap < 1:
             raise ValueError("precision cap must be positive")
         self.ctx = ctx
         self.streams = (t_stream(ctx),) + tuple(streams)
         self.nvars = len(self.streams)
         self.precision_cap = precision_cap
-        self.start_precision = min(start_precision, precision_cap)
+        self.start_precision = min(START_PRECISION, precision_cap)
         for s in self.streams:
             if not isinstance(s, SeriesStream):
                 raise TypeError("images must be SeriesStream instances")

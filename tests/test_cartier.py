@@ -176,6 +176,15 @@ class TestSplitting:
         ctx = make_context(p)
         assert is_splitting(canonical_splitting(ctx, n, e))
 
+    def test_exponent_limit(self, f2, f5):
+        # p^e - 1 is decided from bit lengths: 2^31 - 1 is the largest exponent
+        assert canonical_splitting(f2, 1, 31).g == \
+            MultiPoly.monomial(f2, 1, (EXPONENT_LIMIT,))
+        for ctx, e in ((f2, 32), (f5, 14), (f5, 10 ** 8)):
+            with pytest.raises(ExponentOverflow):
+                canonical_splitting(ctx, 1, e)
+        assert canonical_splitting(f5, 0, 10 ** 8).is_splitting()
+
     def test_zero_map_is_not(self, f2):
         assert not is_splitting(CartierMap(1, MultiPoly.zero(f2, 2)))
 

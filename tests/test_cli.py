@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import shlex
@@ -5,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from charp.cli import main
+from charp import cli, errors
+from charp.cli import build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -152,6 +154,65 @@ class TestExitCodes:
         assert payload["error"] == "NotPrime"
 
 
+def leaf_commands(parser, path=()):
+    """(argv prefix, parser) for every runnable subcommand."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from leaf_commands(child, path + (name,))
+            return
+    yield path, parser
+
+
+# documented exit code of every error class main reports
+EXIT_CODES = [
+    (errors.CharpError, 1), (errors.NotPrime, 2), (errors.DegreeTooLarge, 2),
+    (errors.ContextMismatch, 2), (errors.PolySyntaxError, 2),
+    (errors.ExponentOverflow, 1), (errors.SizeBound, 1),
+    (errors.PrecisionMismatch, 2), (errors.PrecisionExhausted, 1),
+    (errors.NotInRing, 1), (errors.StreamsAgree, 1), (errors.NotSolid, 1),
+    (ValueError, 2),
+]
+
+
+class TestSharedContract:
+    @pytest.mark.parametrize("flag,value", [
+        ("--vars", "-1"), ("--precision-cap", "0"), ("--e", "0")])
+    def test_out_of_range_flag_is_a_usage_error(self, capsys, flag, value):
+        """Every subcommand taking the flag refuses the value in argparse."""
+        takers = [path for path, parser in leaf_commands(build_parser())
+                  if flag in parser._option_string_actions]
+        assert takers
+        for path in takers:
+            code = main([*path, flag, value])
+            err = capsys.readouterr().err
+            assert code == 2, path
+            assert f"argument {flag}: must be >= " in err, path
+
+    def test_every_error_class_has_an_exit_code(self):
+        declared = {obj for obj in vars(errors).values()
+                    if isinstance(obj, type) and issubclass(obj, Exception)}
+        assert {cls for cls, _ in EXIT_CODES} == declared | {ValueError}
+
+    @pytest.mark.parametrize("cls,expected", EXIT_CODES,
+                             ids=[cls.__name__ for cls, _ in EXIT_CODES])
+    def test_error_from_a_handler(self, capsys, monkeypatch, cls, expected):
+        extra = {errors.PolySyntaxError: (3,),
+                 errors.PrecisionExhausted: (64,)}.get(cls, ())
+        exc = cls("stub failure", *extra)
+
+        def stub(args, ctx):
+            raise exc
+
+        monkeypatch.setattr(cli, "_decompose", stub)
+        code, out, err = run_cli(capsys, "decompose --p 2 --vars 1 --e 1 x")
+        assert code == expected
+        assert out == ""
+        (line,) = err.splitlines()
+        assert json.loads(line) == {"error": cls.__name__,
+                                    "message": str(exc)}
+
+
 class TestArgvFuzz:
     def test_random_argv_never_crashes(self, capsys):
         """Invalid flag soup must be rejected cleanly (exit 2) or, when it
@@ -227,6 +288,26 @@ class TestBehaviors:
         assert out == ""
         assert json.loads(err)["error"] == "ValueError"
 
+    @pytest.mark.parametrize("cmdline", [
+        "report dvr --p 2 --vars 1",
+        "report dvr --p 2 --stream t+t^2",
+        "report dvr --p 2 --vars 3 --stream lacunary --stream t",
+    ])
+    def test_report_dvr_refuses_where_the_chain_does_not_apply(
+            self, capsys, cmdline):
+        code, out, err = run_cli(capsys, cmdline)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "ValueError"
+
+    def test_val_one_variable_needs_no_stream(self, capsys):
+        code, out, _ = run_cli(capsys, "val --p 2 --vars 1 'x^3'")
+        assert code == 0
+        assert out == '{"value":3,"precision_certified":16}\n'
+        code, _, err = run_cli(capsys, "val --p 2 --vars 3 'x'")
+        assert code == 2
+        assert "needs 2 --stream image(s), got 0" in err
+
     def test_report_dvr_versus_needs_two_variables(self, capsys):
         code, out, err = run_cli(
             capsys,
@@ -288,6 +369,9 @@ class TestBehaviors:
          '{"compatible":true}'),
         ("cartier apply --p 5 --vars 0 --e 100000000 -g 2 3",
          '{"result":"1"}'),
+        ("decompose --p 5 --vars 1 --e 100000000 x", '{"x":"1"}'),
+        ("cartier compose --p 5 --vars 1 --e 1 -g 1 --e2 100000000 --g2 x",
+         '{"e":100000001,"multiplier":"x"}'),
     ])
     def test_cartier_level_beyond_every_exponent(self, capsys, cmdline,
                                                  expected):
@@ -309,3 +393,20 @@ class TestBehaviors:
             "-J 'x,y*z'")
         assert code == 0
         assert out == '{"compatible":true}\n'
+
+    @pytest.mark.parametrize("cmdline,expected", [
+        ("cartier compose --p 5 --vars 1 --e 1 -g x --e2 100000000 --g2 x",
+         "ExponentOverflow"),
+        ("report poly-ring --p 5 --vars 1 --e 100000000", "SizeBound"),
+    ])
+    def test_huge_level_errors_at_once(self, capsys, cmdline, expected):
+        code, out, err = run_cli(capsys, cmdline)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == expected
+
+    def test_report_poly_ring_without_variables_at_a_huge_level(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "report poly-ring --p 5 --vars 0 --e 100000000")
+        assert code == 0
+        assert json.loads(out)["evidence"][0]["witness"]["rank"] == 1

@@ -154,6 +154,18 @@ class TestDvrReport:
 
         assert fraction_of(rep_a) == fraction_of(rep_b) == "x^3/(y-x-x^2)"
 
+    def test_one_variable_is_refused(self, f2):
+        # V is then the x-adic valuation of F_2(x): divisorial, excellent
+        with pytest.raises(ValueError, match="at least 2 variables"):
+            dvr_report(EmbeddingValuation(f2, []))
+
+    @pytest.mark.parametrize("specs", [["t+t^2"], ["lacunary", "t"]])
+    def test_image_not_assumed_transcendental_is_refused(self, f2, specs):
+        # y -> t + t^2 is the image of x + x^2: the embedding is not injective
+        V = EmbeddingValuation(f2, [parse_stream_spec(s, f2) for s in specs])
+        with pytest.raises(ValueError, match="not assumed transcendental"):
+            dvr_report(V, samples=3)
+
     def test_render_text_mentions_theorems(self, V):
         text = dvr_report(V, samples=5).render_text()
         assert "verdicts:" in text

@@ -2,8 +2,8 @@ import pytest
 
 from charp.errors import ExponentOverflow, SizeBound
 from charp.ffield import make_context
-from charp.frobenius import (decompose, free_basis, frobenius_image,
-                             is_pe_power, recompose)
+from charp.frobenius import (HUGE_LEVEL, decompose, free_basis,
+                             frobenius_image, is_pe_power, recompose)
 from charp.parser import parse_poly
 from charp.poly import (EXPONENT_LIMIT, MultiPoly, random_nonzero_poly,
                         random_poly)
@@ -33,6 +33,16 @@ class TestFrobeniusImage:
         big = MultiPoly.monomial(f2, 1, (EXPONENT_LIMIT // 2 + 1,))
         with pytest.raises(ExponentOverflow):
             frobenius_image(big, 1)
+
+    def test_huge_level(self, f2, f4):
+        # u^(2^e) = u + 1 for odd e over F_4; p^e itself is never formed
+        assert frobenius_image(parse_poly("u", f4, 1), 10 ** 8 + 1) == \
+            parse_poly("u+1", f4, 1)
+        assert frobenius_image(parse_poly("x", f2, 1), HUGE_LEVEL - 1) == \
+            MultiPoly.monomial(f2, 1, (2 ** (HUGE_LEVEL - 1),))
+        for e in (HUGE_LEVEL, 10 ** 8):
+            with pytest.raises(ExponentOverflow):
+                frobenius_image(parse_poly("x+1", f2, 1), e)
 
 
 class TestDecompose:
@@ -89,6 +99,18 @@ class TestDecompose:
         with pytest.raises(ValueError):
             decompose(MultiPoly.zero(f2, 1), 0)
 
+    def test_huge_level(self, f2, f4):
+        """Above every exponent each term is its own component, and the
+        coefficient root depends only on e mod m."""
+        f = parse_poly("u*x^3*y + x^2 + (u+1)*y^3", f4, 2)
+        assert decompose(f, 10 ** 8).components == decompose(f, 2).components
+        assert decompose(f, 10 ** 8 + 1).components == \
+            decompose(f, 3).components
+        # an exponent above EXPONENT_LIMIT still splits as at any higher level
+        big = MultiPoly.monomial(f2, 1, (2 ** 40 + 3,))
+        assert decompose(big, 10 ** 8).components == \
+            decompose(big, 41).components
+
 
 class TestIsPePower:
     def test_examples(self, f2):
@@ -125,3 +147,10 @@ class TestFreeBasis:
         with pytest.raises(SizeBound):
             free_basis(2, 2, 3, bound=63)
         assert len(free_basis(2, 2, 3, bound=64)) == 64
+
+    def test_huge_rank_is_refused_at_once(self):
+        with pytest.raises(SizeBound):
+            free_basis(1, 5, 10 ** 8)
+        with pytest.raises(SizeBound):
+            free_basis(10 ** 9, 2, 1)
+        assert free_basis(0, 5, 10 ** 8) == [()]
