@@ -5,7 +5,13 @@ rings, pushforward decomposition over the reduced-monomial basis, the
 multiplier algebra of maps inverse to Frobenius (splittings, composition,
 ideal compatibility), power-series-embedded discrete valuations with
 certified precision, and evidence-backed excellence reports.
+
+The series and valuation layers need numpy; they, and the names below that
+live in them, are imported on first access, so that work without power
+series never loads numpy.
 """
+
+import importlib
 
 from .errors import (CharpError, ContextMismatch, DegreeTooLarge,
                      ExponentOverflow, NotInRing, NotPrime, NotSolid,
@@ -16,7 +22,6 @@ from .ffield import (FieldContext, FieldElement, frobenius_pow, make_context,
 from .poly import (MonomialIdeal, MultiPoly, RationalFn, format_poly,
                    format_rational, member, random_poly)
 from .parser import parse_poly, parse_rational
-from .series import TruncatedSeries, substitute_series
 from .frobenius import (FrobDecomposition, decompose, free_basis,
                         frobenius_image, is_pe_power, recompose)
 from .cartier import (CartierMap, apply_map, canonical_splitting,
@@ -25,12 +30,19 @@ from .cartier import (CartierMap, apply_map, canonical_splitting,
 from .streams import (SeriesStream, builtin_streams, from_seed,
                       geometric_gap, lacunary, lacunary_shift,
                       parse_stream_spec, perturb, t_stream)
-from .valuation import (EmbeddingValuation, INFINITY, distinguishing_fraction,
-                        first_difference, order)
 from .excellence import (ExcellenceReport, IMPLICATIONS, THEOREMS, dvr_report,
                          f_finite_report, solidity_witness)
 
 __version__ = "0.1.0"
+
+# name -> numpy-backed submodule that defines it, loaded on first access
+_LAZY = {
+    "TruncatedSeries": "series", "substitute_series": "series",
+    "EmbeddingValuation": "valuation", "INFINITY": "valuation",
+    "distinguishing_fraction": "valuation", "first_difference": "valuation",
+    "order": "valuation",
+}
+_LAZY_MODULES = ("series", "valuation", "_kernels")
 
 __all__ = [
     "CharpError", "ContextMismatch", "DegreeTooLarge", "ExponentOverflow",
@@ -54,3 +66,18 @@ __all__ = [
     "f_finite_report", "solidity_witness",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    if name in _LAZY_MODULES:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__),
+                    name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY, *_LAZY_MODULES})

@@ -25,34 +25,41 @@ from .frobenius import recompose
 from .parser import parse_poly, parse_rational
 from .poly import (MonomialIdeal, MultiPoly, format_monomial, format_poly,
                    random_poly)
-from .streams import parse_stream_spec
-from .valuation import (DEFAULT_PRECISION_CAP, EmbeddingValuation, INFINITY,
-                        distinguishing_fraction, fraction_construction_string)
+from .streams import DEFAULT_PRECISION_CAP, parse_stream_spec
 
 USAGE_ERRORS = (NotPrime, DegreeTooLarge, PolySyntaxError, ContextMismatch,
                 PrecisionMismatch, ValueError)
 
 
-def _at_least(low):
-    """An argparse type: an int >= low, else a usage error (exit 2)."""
+# Largest variable count, and largest count for the flags that set how
+# often a command loops (--e-max, --trials, --samples).
+MAX_VARS = 1000
+MAX_COUNT = 10_000
+
+
+def _int_range(low=None, high=None):
+    """An argparse type: an int in [low, high], either end open when None,
+    else a usage error (exit 2)."""
     def parse(text):
         value = int(text)
-        if value < low:
+        if low is not None and value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
         return value
     parse.__name__ = "int"  # argparse names it in "invalid int value"
     return parse
 
 
-_level = _at_least(1)
+_level = _int_range(1)
 
 # Flags shared by several subcommands; --p, --m and --pretty go on every one.
 _FLAGS = {
     "--p": dict(type=int, required=True, help="prime characteristic"),
     "--m": dict(type=int, default=1,
                 help="extension degree of the coefficient field"),
-    "--vars": dict(type=_at_least(0), required=True,
-                   help="number of polynomial variables (>= 0)"),
+    "--vars": dict(type=_int_range(0, MAX_VARS), required=True,
+                   help=f"number of polynomial variables (0..{MAX_VARS})"),
     "--e": dict(type=_level, required=True, help="Frobenius level (>= 1)"),
     "--precision-cap": dict(type=_level, default=DEFAULT_PRECISION_CAP,
                             help="largest series precision tried (>= 1)"),
@@ -110,8 +117,10 @@ def build_parser() -> argparse.ArgumentParser:
     c_split.add_argument("-g", required=True)
 
     c_compat = _command(car_sub, "compat", _compat, "--vars", "--e", e=None)
-    c_compat.add_argument("--e-max", type=_level, default=None,
-                          help="sweep every level from 1 to this bound")
+    c_compat.add_argument("--e-max", type=_int_range(1, MAX_COUNT),
+                          default=None,
+                          help="sweep every level from 1 to this bound "
+                               f"(1..{MAX_COUNT})")
     c_compat.add_argument("-g", required=True,
                           help="multiplier polynomial, or several separated "
                                "by ';' to sweep a list")
@@ -139,11 +148,13 @@ def build_parser() -> argparse.ArgumentParser:
                      "--seed", "--precision-cap", vars=2)
     r_dvr.add_argument("--versus", default=None,
                        help="cross-reference a second stream")
-    r_dvr.add_argument("--samples", type=int, default=50)
+    r_dvr.add_argument("--samples", type=_int_range(high=MAX_COUNT),
+                       default=50, help=f"residues sampled (<= {MAX_COUNT})")
 
     p_self = _command(sub, "selftest", _selftest, "--seed",
                       help="run a quick property bundle", p=2)
-    p_self.add_argument("--trials", type=int, default=100)
+    p_self.add_argument("--trials", type=_int_range(high=MAX_COUNT),
+                        default=100, help=f"trials per check (<= {MAX_COUNT})")
 
     return top
 
@@ -163,9 +174,11 @@ def _pretty_flat(obj: dict) -> str:
     return "\n".join(f"{str(k).ljust(width)}  {v}" for k, v in obj.items())
 
 
-def _valuation(args, ctx) -> EmbeddingValuation:
-    """x -> t and one --stream image per further variable; lacunary is the
-    default only when exactly one image is needed."""
+def _valuation(args, ctx):
+    """The EmbeddingValuation x -> t, with one --stream image per further
+    variable; lacunary is the default only when exactly one image is
+    needed."""
+    from .valuation import EmbeddingValuation
     if args.vars < 1:
         raise ValueError("--vars must be >= 1")
     count = args.vars - 1
@@ -224,6 +237,7 @@ def _compat(args, ctx):
 def _val(args, ctx):
     if (args.poly is None) == (args.poly_flag is None):
         raise ValueError("give the input either positionally or via --poly")
+    from .valuation import INFINITY
     text = args.poly if args.poly is not None else args.poly_flag
     V = _valuation(args, ctx)
     r = parse_rational(_read_poly_arg(text), ctx, args.vars)
@@ -238,6 +252,8 @@ def _val(args, ctx):
 
 
 def _distinguish(args, ctx):
+    from .valuation import (EmbeddingValuation, distinguishing_fraction,
+                            fraction_construction_string)
     stream_a = parse_stream_spec(args.stream_a, ctx)
     stream_b = parse_stream_spec(args.stream_b, ctx)
     i, frac = distinguishing_fraction(stream_a, stream_b,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import random
+from typing import TYPE_CHECKING
 
 from .cartier import CartierMap, canonical_splitting, is_splitting
 from .errors import NotSolid
@@ -22,8 +23,9 @@ from .ffield import FieldElement, make_context
 from .frobenius import free_basis
 from .poly import (MultiPoly, RationalFn, format_monomial, format_poly,
                    random_nonzero_poly, var_names)
-from .valuation import (EmbeddingValuation, distinguishing_fraction,
-                        fraction_construction_string)
+
+if TYPE_CHECKING:  # valuation loads numpy; dvr_report imports it when run
+    from .valuation import EmbeddingValuation
 
 THEOREMS = {
     "pushforward-free": (
@@ -179,6 +181,8 @@ def dvr_report(valuation: EmbeddingValuation, versus=None, samples: int = 50,
     needs at least 2 variables and every image after t assumed
     transcendental; otherwise this raises ValueError.
     """
+    from .valuation import (distinguishing_fraction,
+                            fraction_construction_string)
     ctx = valuation.ctx
     n = valuation.nvars
     if samples < 1:

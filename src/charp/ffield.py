@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import threading
 
-import numpy as np
-
 from .errors import ContextMismatch, DegreeTooLarge, NotPrime
 
 MAX_PRIME = 1 << 20
@@ -164,7 +162,7 @@ def _least_irreducible(p, m):
 class FieldContext:
     """Fixed presentation of F_{p^m}; one instance per (p, m) pair."""
 
-    __slots__ = ("p", "m", "modulus", "reduction", "reduction_array",
+    __slots__ = ("p", "m", "modulus", "reduction", "_reduction_array",
                  "zero", "one", "_u")
 
     def __init__(self, p: int, m: int):
@@ -178,15 +176,29 @@ class FieldContext:
             vec = vec + [0] * (m - len(vec))
             rows.append(tuple(vec))
         self.reduction = tuple(rows)
-        arr = np.zeros((max(m - 1, 0), max(m, 1)), dtype=np.int64)
-        for k, row in enumerate(rows):
-            arr[k, :] = row
-        arr.setflags(write=False)
-        self.reduction_array = arr
+        self._reduction_array = None
         self.zero = FieldElement(self, (0,) * m)
         self.one = FieldElement(self, (1,) + (0,) * (m - 1))
         self._u = (FieldElement(self, (0, 1) + (0,) * (m - 2))
                    if m >= 2 else None)
+
+    @property
+    def reduction_array(self):
+        """`reduction` as a read-only int64 array of shape
+        (max(m-1, 0), max(m, 1)) for the series kernels.
+
+        Built on first use, so that only series work imports numpy.
+        """
+        arr = self._reduction_array
+        if arr is None:
+            import numpy as np
+            arr = np.zeros((max(self.m - 1, 0), max(self.m, 1)),
+                           dtype=np.int64)
+            for k, row in enumerate(self.reduction):
+                arr[k, :] = row
+            arr.setflags(write=False)
+            self._reduction_array = arr
+        return arr
 
     @property
     def order(self) -> int:

@@ -17,6 +17,9 @@ import hashlib
 from .errors import PolySyntaxError
 from .ffield import FieldContext, FieldElement
 
+# Longest stream prefix a valuation realizes unless told otherwise.
+DEFAULT_PRECISION_CAP = 4096
+
 
 class SeriesStream:
     """Deterministic coefficient oracle with a descriptive label."""

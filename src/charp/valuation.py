@@ -27,11 +27,10 @@ from .errors import (ContextMismatch, NotInRing, PrecisionExhausted,
 from .ffield import FieldContext, FieldElement
 from .poly import MultiPoly, RationalFn
 from .series import TruncatedSeries, substitute_series
-from .streams import SeriesStream, t_stream
+from .streams import DEFAULT_PRECISION_CAP, SeriesStream, t_stream
 
 INFINITY = float("inf")
 
-DEFAULT_PRECISION_CAP = 4096
 START_PRECISION = 16
 
 

@@ -189,6 +189,25 @@ class TestSharedContract:
             assert code == 2, path
             assert f"argument {flag}: must be >= " in err, path
 
+    @pytest.mark.parametrize("flag,bound", [
+        ("--vars", cli.MAX_VARS), ("--e-max", cli.MAX_COUNT),
+        ("--trials", cli.MAX_COUNT), ("--samples", cli.MAX_COUNT)])
+    def test_flag_past_its_bound_is_a_usage_error(self, capsys, flag, bound):
+        """Every subcommand taking the flag accepts the bound and refuses
+        bound + 1 in argparse."""
+        takers = [(path, parser) for path, parser
+                  in leaf_commands(build_parser())
+                  if flag in parser._option_string_actions]
+        assert takers
+        for path, parser in takers:
+            assert parser._option_string_actions[flag].type(str(bound)) == \
+                bound, path
+            code = main([*path, flag, str(bound + 1)])
+            err = capsys.readouterr().err
+            assert code == 2, path
+            assert f"argument {flag}: must be <= {bound}, got {bound + 1}" \
+                in err, path
+
     def test_every_error_class_has_an_exit_code(self):
         declared = {obj for obj in vars(errors).values()
                     if isinstance(obj, type) and issubclass(obj, Exception)}
