@@ -21,9 +21,12 @@ faith: the test suite checks it against directly chained applications.
 
 from __future__ import annotations
 
+from operator import add
+
 from .errors import ContextMismatch, ExponentOverflow
 from .ffield import pth_root
-from .frobenius import _capped_level, _largest_exponent, frobenius_image
+from .frobenius import (HUGE_LEVEL, _capped_level, _largest_exponent,
+                        frobenius_image)
 from .poly import (EXPONENT_LIMIT, MonomialIdeal, MultiPoly, format_poly,
                    random_poly)
 
@@ -79,21 +82,24 @@ class CartierMap:
         """
         if f.ctx is not self.ctx or f.nvars != self.nvars:
             raise ContextMismatch("polynomial does not match the map's ring")
-        q = _capped_level(
-            self.ctx.p, self.e,
+        p, e = self.ctx.p, self.e
+        q = p ** e if e < HUGE_LEVEL else _capped_level(
+            p, e,
             _largest_exponent(self.g.terms) + _largest_exponent(f.terms) + 2)
         top = q - 1
         buckets: dict = {}
         for gamma, c in self.g.terms.items():
-            buckets.setdefault(tuple(a % q for a in gamma), []).append(
-                (tuple(a // q for a in gamma), c))
+            buckets.setdefault(tuple([a % q for a in gamma]), []).append(
+                ([a // q for a in gamma], c))
         sums: dict = {}
         for beta, d in f.terms.items():
-            partner = tuple(top - b % q for b in beta)
-            for quot, c in buckets.get(partner, ()):
-                exp = tuple(a + b // q for a, b in zip(quot, beta))
-                acc = sums.get(exp)
-                sums[exp] = c * d if acc is None else acc + c * d
+            hits = buckets.get(tuple([top - b % q for b in beta]))
+            if hits:
+                shift = [b // q for b in beta]
+                for quot, c in hits:
+                    exp = tuple(map(add, quot, shift))
+                    acc = sums.get(exp)
+                    sums[exp] = c * d if acc is None else acc + c * d
         return MultiPoly(self.ctx, self.nvars,
                          {exp: pth_root(s, self.e)
                           for exp, s in sums.items() if s})
@@ -174,8 +180,8 @@ def check_compatible(phi: CartierMap, ideal: MonomialIdeal) -> bool:
     if ideal.nvars != n:
         raise ContextMismatch("ideal and map variable counts differ")
     gens = ideal.generators
-    q = _capped_level(
-        phi.ctx.p, phi.e,
-        _largest_exponent(phi.g.terms) + _largest_exponent(gens) + 1)
+    p, e = phi.ctx.p, phi.e
+    q = p ** e if e < HUGE_LEVEL else _capped_level(
+        p, e, _largest_exponent(phi.g.terms) + _largest_exponent(gens) + 1)
     return all(ideal.contains(tuple((a + b) // q for a, b in zip(gamma, u)))
                for u in gens for gamma in phi.g.terms)

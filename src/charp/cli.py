@@ -31,9 +31,11 @@ USAGE_ERRORS = (NotPrime, DegreeTooLarge, PolySyntaxError, ContextMismatch,
                 PrecisionMismatch, ValueError)
 
 
-# Largest variable count, and largest count for the flags that set how
-# often a command loops (--e-max, --trials, --samples).
+# Largest variable count, largest series precision, and largest count for
+# the flags that set how often a command loops (--e-max, --trials,
+# --samples).
 MAX_VARS = 1000
+MAX_PRECISION = 2 ** 20
 MAX_COUNT = 10_000
 
 
@@ -61,8 +63,10 @@ _FLAGS = {
     "--vars": dict(type=_int_range(0, MAX_VARS), required=True,
                    help=f"number of polynomial variables (0..{MAX_VARS})"),
     "--e": dict(type=_level, required=True, help="Frobenius level (>= 1)"),
-    "--precision-cap": dict(type=_level, default=DEFAULT_PRECISION_CAP,
-                            help="largest series precision tried (>= 1)"),
+    "--precision-cap": dict(type=_int_range(1, MAX_PRECISION),
+                            default=DEFAULT_PRECISION_CAP,
+                            help="largest series precision tried "
+                                 f"(1..{MAX_PRECISION})"),
     "--stream": dict(action="append", default=None,
                      help="image stream for each variable after x (repeat "
                           "for more variables; default lacunary when "

@@ -7,13 +7,15 @@ chosen deterministically as the lexicographically least monic irreducible
 same field presentation and serialized elements stay stable across runs.
 
 Because finite fields are perfect, the Frobenius map a -> a^p is an
-automorphism of order m; p^k-th powers and p^k-th roots are both computed
-as iterates of that automorphism.
+automorphism of order m; p^k-th powers and p^k-th roots are both iterates
+of that automorphism.  It is F_p-linear, so each iterate is one m x m
+matrix over F_p, built once per field and applied to residue vectors.
 """
 
 from __future__ import annotations
 
 import threading
+from operator import mul
 
 from .errors import ContextMismatch, DegreeTooLarge, NotPrime
 
@@ -163,7 +165,7 @@ class FieldContext:
     """Fixed presentation of F_{p^m}; one instance per (p, m) pair."""
 
     __slots__ = ("p", "m", "modulus", "reduction", "_reduction_array",
-                 "zero", "one", "_u")
+                 "_frobenius", "zero", "one", "_u")
 
     def __init__(self, p: int, m: int):
         self.p = p
@@ -177,6 +179,7 @@ class FieldContext:
             rows.append(tuple(vec))
         self.reduction = tuple(rows)
         self._reduction_array = None
+        self._frobenius = None
         self.zero = FieldElement(self, (0,) * m)
         self.one = FieldElement(self, (1,) + (0,) * (m - 1))
         self._u = (FieldElement(self, (0, 1) + (0,) * (m - 2))
@@ -199,6 +202,46 @@ class FieldContext:
             arr.setflags(write=False)
             self._reduction_array = arr
         return arr
+
+    def frobenius_matrix(self, j: int) -> tuple:
+        """The F_p matrix of a -> a^(p^j) on residue vectors, as a tuple of
+        rows: row k is the residue vector of (u^k)^(p^j).
+
+        a = sum a_k u^k with every a_k in F_p, so a^(p^j) is
+        sum a_k (u^k)^(p^j).  Built on first use, cached by j mod m.
+        """
+        return self._frobenius_entry(j % self.m)[0]
+
+    def _frobenius_entry(self, j):
+        """(rows, columns) of frobenius_matrix(j) for 0 <= j < m."""
+        entries = self._frobenius
+        if entries is None:
+            entries = self._frobenius = [None] * self.m
+        entry = entries[j]
+        if entry is None:
+            m = self.m
+            if j == 0:
+                rows = [tuple(int(i == k) for i in range(m))
+                        for k in range(m)]
+            elif j == 1:
+                # (u^k)^p = (u^p)^k
+                up, cur, rows = self._u ** self.p, self.one, []
+                for _ in range(m):
+                    rows.append(cur.coeffs)
+                    cur = cur * up
+            else:
+                # one more Frobenius step applied to each row of level j-1
+                rows = [self._conjugate(row, 1)
+                        for row in self._frobenius_entry(j - 1)[0]]
+            rows = tuple(rows)
+            entry = entries[j] = (rows, tuple(zip(*rows)))
+        return entry
+
+    def _conjugate(self, coeffs, j):
+        """Residue vector of a^(p^j) from that of a, for 0 <= j < m."""
+        p = self.p
+        return tuple(sum(map(mul, coeffs, col)) % p
+                     for col in self._frobenius_entry(j)[1])
 
     @property
     def order(self) -> int:
@@ -334,10 +377,21 @@ class FieldElement:
         return result
 
     def inverse(self) -> "FieldElement":
+        """a^-1 through the norm (Itoh-Tsujii).
+
+        The conjugates a^(p^j), 0 < j < m, multiply to a^(r-1) with
+        r = 1 + p + ... + p^(m-1), and a^r = N(a) lies in F_p, so
+        a^-1 = a^(r-1) / N(a) takes one inverse in F_p.
+        """
         if not self:
             raise ZeroDivisionError("inverse of zero field element")
-        # Lagrange: a^(q-2) inverts a in F_q
-        return self ** (self.ctx.order - 2)
+        ctx = self.ctx
+        rest = ctx.one
+        for j in range(1, ctx.m):
+            rest = rest * FieldElement(ctx, ctx._conjugate(self.coeffs, j))
+        p = ctx.p
+        scale = pow((self * rest).coeffs[0], -1, p)
+        return FieldElement(ctx, tuple(c * scale % p for c in rest.coeffs))
 
     def __truediv__(self, other):
         other = self._check(other)
@@ -440,11 +494,11 @@ def frobenius_pow(a: FieldElement, k: int) -> FieldElement:
     """a^(p^k), an iterate of the Frobenius automorphism."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    j = k % a.ctx.m
-    out = a
-    for _ in range(j):
-        out = out ** a.ctx.p
-    return out
+    ctx = a.ctx
+    j = k % ctx.m
+    if not j:
+        return a
+    return FieldElement(ctx, ctx._conjugate(a.coeffs, j))
 
 
 def pth_root(a: FieldElement, k: int) -> FieldElement:

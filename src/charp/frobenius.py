@@ -81,11 +81,31 @@ class FrobDecomposition:
                 for rho in sorted(self.components, key=graded_key)]
 
     def recompose(self) -> MultiPoly:
-        total = MultiPoly.zero(self.ctx, self.nvars)
+        """sum over rho of (f_rho)^(p^e) * rho, term by term.
+
+        A term c*x^beta of f_rho lands at p^e*beta + rho with coefficient
+        c^(p^e); terms that land together add.  From level HUGE_LEVEL on
+        p^e is above EXPONENT_LIMIT, so p^HUGE_LEVEL overflows on the same
+        nonzero beta and stands in for it.
+        """
+        e = self.e
+        q = self.ctx.p ** min(e, HUGE_LEVEL)
+        terms: dict = {}
         for rho, part in self.components.items():
-            total = total + frobenius_image(part, self.e) * MultiPoly.monomial(
-                self.ctx, self.nvars, rho)
-        return total
+            for beta, c in part.terms.items():
+                exp = tuple(q * b + r for b, r in zip(beta, rho))
+                for a in exp:
+                    if a > EXPONENT_LIMIT:
+                        raise ExponentOverflow(
+                            f"exponent {a} exceeds 32-bit bound")
+                c = frobenius_pow(c, e)
+                acc = terms.get(exp)
+                total = c if acc is None else acc + c
+                if total:
+                    terms[exp] = total
+                elif acc is not None:
+                    del terms[exp]
+        return MultiPoly(self.ctx, self.nvars, terms)
 
     def __repr__(self):
         body = ", ".join(

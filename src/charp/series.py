@@ -161,9 +161,7 @@ def _is_t(arr) -> bool:
 def _rows(first: FieldElement, ratio: FieldElement) -> np.ndarray:
     """F_p matrix whose row k is the residue vector of first * ratio^k.
 
-    With (c, u) it is the matrix of a -> c*a on residue vectors; with
-    (1, u^p) that of the Frobenius a -> a^p, since a = sum v_k u^k with
-    every v_k in F_p gives a^p = sum v_k (u^p)^k.
+    With (c, u) it is the matrix of a -> c*a on residue vectors.
     """
     rows, cur = [], first
     for _ in range(first.ctx.m):
@@ -190,7 +188,6 @@ class _Powers:
         nonzero = np.flatnonzero(base.any(axis=1))
         self.order = int(nonzero[0]) if nonzero.size else None
         self.cache: dict = {}
-        self.frobenius = None
 
     def power(self, k: int, n: int):
         """base^k modulo t^n for k >= 1, or None where it vanishes."""
@@ -223,9 +220,8 @@ class _Powers:
         if ctx.m == 1:
             out[::ctx.p] = s
         else:
-            if self.frobenius is None:
-                self.frobenius = _rows(ctx.one, ctx.generator() ** ctx.p)
-            out[::ctx.p] = s @ self.frobenius % ctx.p
+            frobenius = np.array(ctx.frobenius_matrix(1), dtype=np.int64)
+            out[::ctx.p] = s @ frobenius % ctx.p
         return out
 
 

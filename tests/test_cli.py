@@ -190,8 +190,9 @@ class TestSharedContract:
             assert f"argument {flag}: must be >= " in err, path
 
     @pytest.mark.parametrize("flag,bound", [
-        ("--vars", cli.MAX_VARS), ("--e-max", cli.MAX_COUNT),
-        ("--trials", cli.MAX_COUNT), ("--samples", cli.MAX_COUNT)])
+        ("--vars", cli.MAX_VARS), ("--precision-cap", cli.MAX_PRECISION),
+        ("--e-max", cli.MAX_COUNT), ("--trials", cli.MAX_COUNT),
+        ("--samples", cli.MAX_COUNT)])
     def test_flag_past_its_bound_is_a_usage_error(self, capsys, flag, bound):
         """Every subcommand taking the flag accepts the bound and refuses
         bound + 1 in argparse."""

@@ -1,8 +1,30 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_ffield as reference
 from charp.errors import DegreeTooLarge, NotPrime
 from charp.ffield import (FieldElement, frobenius_pow, make_context,
                           parse_element, pth_root)
+
+FIELDS = [(p, m) for p in (2, 3, 5, 1048573) for m in (1, 2, 3, 4)]
+
+
+@st.composite
+def elements(draw):
+    """An element of a drawn field, with zero and one over-represented."""
+    ctx = make_context(*draw(st.sampled_from(FIELDS)))
+    coeffs = draw(st.one_of(
+        st.sampled_from([(0,), (1,)]),
+        st.lists(st.integers(0, ctx.p - 1), min_size=ctx.m,
+                 max_size=ctx.m)))
+    return ctx.elem(coeffs)
+
+
+def levels(m):
+    """Levels past every residue class mod m, and some near 10^9."""
+    return st.one_of(st.integers(0, 2 * m + 1),
+                     st.integers(10 ** 9 - m, 10 ** 9 + m))
 
 
 def brute_irreducibles_deg2_mod2():
@@ -117,6 +139,40 @@ class TestFrobenius:
         ctx = make_context(p, m)
         for a in ctx.elements():
             assert frobenius_pow(a, m) == a
+
+
+    @pytest.mark.parametrize("p,m", FIELDS)
+    def test_matrix_rows_are_frobenius_images(self, p, m):
+        ctx = make_context(p, m)
+        identity = tuple(ctx.elem((0,) * k + (1,)).coeffs for k in range(m))
+        assert ctx.frobenius_matrix(0) == identity
+        for j in range(2 * m + 1):
+            mat = ctx.frobenius_matrix(j)
+            assert mat == tuple(
+                reference.frobenius_pow(ctx.elem((0,) * k + (1,)), j).coeffs
+                for k in range(m))
+            assert mat is ctx.frobenius_matrix(j % m)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_frobenius_matches_reference(data):
+    a = data.draw(elements())
+    k = data.draw(levels(a.ctx.m))
+    assert frobenius_pow(a, k) == reference.frobenius_pow(a, k)
+    assert pth_root(a, k) == reference.pth_root(a, k)
+    assert pth_root(frobenius_pow(a, k), k) == a
+
+
+@settings(max_examples=400, deadline=None)
+@given(elements())
+def test_inverse_matches_reference(a):
+    if not a:
+        with pytest.raises(ZeroDivisionError):
+            a.inverse()
+        return
+    assert a.inverse() == reference.inverse(a)
+    assert a * a.inverse() == a.ctx.one
 
 
 class TestElementArithmetic:

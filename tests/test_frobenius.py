@@ -1,12 +1,66 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_frobenius as reference
 from charp.errors import ExponentOverflow, SizeBound
 from charp.ffield import make_context
-from charp.frobenius import (HUGE_LEVEL, decompose, free_basis,
-                             frobenius_image, is_pe_power, recompose)
+from charp.frobenius import (HUGE_LEVEL, FrobDecomposition, decompose,
+                             free_basis, frobenius_image, is_pe_power,
+                             recompose)
 from charp.parser import parse_poly
 from charp.poly import (EXPONENT_LIMIT, MultiPoly, random_nonzero_poly,
                         random_poly)
+
+FIELDS = [(p, m) for p in (2, 3, 5, 1048573) for m in (1, 2, 3)]
+
+
+@st.composite
+def decompositions(draw):
+    """A hand-built decomposition: components in pairs whose terms land
+    together (and may cancel) through an unreduced rho, now and then an
+    exponent near EXPONENT_LIMIT, and levels from 0 to far past
+    HUGE_LEVEL."""
+    p, m = draw(st.sampled_from(FIELDS))
+    ctx = make_context(p, m)
+    n = draw(st.integers(0, 3))
+    e = draw(st.sampled_from([0, 1, 2, 3, HUGE_LEVEL - 1, HUGE_LEVEL,
+                              HUGE_LEVEL + 1, 10 ** 8]))
+    q = p ** min(e, HUGE_LEVEL)
+    bits = st.lists(st.integers(0, 1), min_size=n, max_size=n).map(tuple)
+    coeff = st.integers(1, p ** m - 1).map(
+        lambda k: ctx.elem([k // p ** i % p for i in range(m)]))
+    components = {}
+    for _ in range(draw(st.integers(0, 3))):
+        rho = list(draw(bits))
+        if n and draw(st.integers(0, 5)) == 0:
+            rho[draw(st.integers(0, n - 1))] = draw(st.sampled_from(
+                [q - 1, EXPONENT_LIMIT - 1, EXPONENT_LIMIT]))
+        terms = {draw(bits): draw(coeff)
+                 for _ in range(draw(st.integers(0, 3)))}
+        # the partner's term beta lands where this one's beta + delta does
+        delta = draw(bits)
+        partner = {beta: draw(st.sampled_from([-c, draw(coeff)]))
+                   for beta, c in terms.items()}
+        components[tuple(rho)] = MultiPoly(ctx, n, {
+            tuple(b + d for b, d in zip(beta, delta)): c
+            for beta, c in terms.items()})
+        components[tuple(r + q * d for r, d in zip(rho, delta))] = \
+            MultiPoly(ctx, n, partner)
+    return FrobDecomposition(ctx, n, e, components)
+
+
+def outcome(fn, d):
+    try:
+        return fn(d)
+    except ExponentOverflow as exc:
+        return type(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(decompositions())
+def test_recompose_matches_reference(d):
+    assert outcome(recompose, d) == outcome(reference.recompose, d)
 
 
 class TestFrobeniusImage:

@@ -41,8 +41,10 @@ def run_main(argv):
               "--e", "1", "-g", "x^2*y^2", "x*y"]),
     run_main(["report", "poly-ring", "--p", "2", "--vars", "2", "--e", "1"]),
     run_main(["selftest", "--trials", "5"]),
+    "from charp.ffield import make_context\nctx = make_context(3, 4)\n"
+    "ctx.frobenius_matrix(2)\nctx.generator().inverse()",
 ], ids=["import", "decompose", "cartier-apply", "report-poly-ring",
-        "selftest"])
+        "selftest", "frobenius-matrix-inverse"])
 def test_work_without_series_loads_no_numpy(code):
     assert loaded_after(code) == []
 
