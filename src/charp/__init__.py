@@ -24,9 +24,8 @@ from .poly import (MonomialIdeal, MultiPoly, RationalFn, format_poly,
 from .parser import parse_poly, parse_rational
 from .frobenius import (FrobDecomposition, decompose, free_basis,
                         frobenius_image, is_pe_power, recompose)
-from .cartier import (CartierMap, apply_map, canonical_splitting,
-                      check_compatible, check_linearity, compose,
-                      is_splitting, trace_project)
+from .cartier import (CartierMap, canonical_splitting, check_compatible,
+                      check_linearity, compose, is_splitting, trace_project)
 from .streams import (SeriesStream, builtin_streams, from_seed,
                       geometric_gap, lacunary, lacunary_shift,
                       parse_stream_spec, perturb, t_stream)
@@ -56,7 +55,7 @@ __all__ = [
     "TruncatedSeries", "substitute_series",
     "FrobDecomposition", "decompose", "free_basis", "frobenius_image",
     "is_pe_power", "recompose",
-    "CartierMap", "apply_map", "canonical_splitting", "check_compatible",
+    "CartierMap", "canonical_splitting", "check_compatible",
     "check_linearity", "compose", "is_splitting", "trace_project",
     "SeriesStream", "builtin_streams", "from_seed", "geometric_gap",
     "lacunary", "lacunary_shift", "parse_stream_spec", "perturb", "t_stream",

@@ -31,24 +31,6 @@ from .poly import (EXPONENT_LIMIT, MonomialIdeal, MultiPoly, format_poly,
                    random_poly)
 
 
-def trace_project(f: MultiPoly, e: int) -> MultiPoly:
-    """Pushforward component of f at the top reduced monomial.
-
-    Only the one component is materialized: a term contributes exactly when
-    every exponent is congruent to p^e - 1 modulo p^e.
-    """
-    if e < 1:
-        raise ValueError("level must be >= 1")
-    pe = f.ctx.p ** e
-    top = pe - 1
-    terms = {}
-    for exp, coeff in f.terms.items():
-        if all(a % pe == top for a in exp):
-            beta = tuple((a - top) // pe for a in exp)
-            terms[beta] = pth_root(coeff, e)
-    return MultiPoly(f.ctx, f.nvars, terms)
-
-
 class CartierMap:
     """Additive map with apply(r^(p^e) * s) = r * apply(s), via a multiplier."""
 
@@ -120,8 +102,16 @@ class CartierMap:
         return f"CartierMap(e={self.e}, g={format_poly(self.g)})"
 
 
-def apply_map(phi: CartierMap, f: MultiPoly) -> MultiPoly:
-    return phi.apply(f)
+def trace_project(f: MultiPoly, e: int) -> MultiPoly:
+    """Pushforward component of f at the top reduced monomial.
+
+    That is the level-e map with multiplier 1: a term contributes exactly
+    when every exponent is congruent to p^e - 1 modulo p^e, and a huge
+    level never forms p^e.
+    """
+    if e < 1:
+        raise ValueError("level must be >= 1")
+    return CartierMap(e, MultiPoly.const(f.ctx, f.nvars, 1)).apply(f)
 
 
 def canonical_splitting(ctx, nvars: int, e: int) -> CartierMap:

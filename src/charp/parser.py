@@ -11,13 +11,53 @@ Grammar (whitespace insignificant, multiplication explicit):
 Names are the variables (x, y, z for up to three variables, x1..xn beyond)
 plus `u`, the extension-field generator, which parses as a constant
 coefficient when the context has m > 1.
+
+A power is expanded only when the term products it may take fit a budget,
+bounded before expanding; past it the exponent is a syntax error.
 """
 
 from __future__ import annotations
 
+from math import comb
+
 from .errors import PolySyntaxError
 from .ffield import FieldContext
 from .poly import EXPONENT_LIMIT, MultiPoly, RationalFn, var_names
+
+# Term products one power may take: about a second of parsing at
+# p = 1048573 on a 2-core x86 machine.
+POWER_BUDGET = 200_000
+
+
+def _terms(t: int, k: int, p: int) -> int:
+    """At most this many terms in f^k, f with t terms, in characteristic p.
+
+    With k = sum d_i p^i, f^k = prod_i F^i(f^(d_i)).  Frobenius keeps the
+    term count, and f^d has at most C(d + t - 1, d) terms, one per monomial
+    of degree d in the t terms.
+    """
+    bound = 1
+    while k:
+        k, d = divmod(k, p)
+        bound *= comb(d + t - 1, d)
+    return bound
+
+
+def _power_products(t: int, k: int, p: int) -> int:
+    """At most this many term products in MultiPoly.__pow__'s binary
+    powering of f^k (result f^done, base f^step), counted until past
+    POWER_BUDGET.  Bounding the result's term count alone would let
+    (x+y)^k through with k^2/3 products."""
+    products, done, step = 0, 0, 1
+    while k and products <= POWER_BUDGET:
+        if k & 1:
+            products += _terms(t, done, p) * _terms(t, step, p)
+            done += step
+        if k > 1:
+            products += _terms(t, step, p) ** 2
+            step *= 2
+        k >>= 1
+    return products
 
 
 class _Tokenizer:
@@ -117,6 +157,12 @@ class _Parser:
             k = int(text)
             if k > EXPONENT_LIMIT:
                 raise PolySyntaxError("exponent exceeds 32-bit bound", pos)
+            products = _power_products(max(len(base.terms), 1), k,
+                                       self.ctx.p)
+            if products > POWER_BUDGET:
+                raise PolySyntaxError(
+                    f"power may take more than {POWER_BUDGET} term "
+                    "products to expand", pos)
             return base ** k
         return base
 

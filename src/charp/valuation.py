@@ -5,9 +5,12 @@ non-unit series embeds the polynomial ring into the formal power series
 ring; the t-adic order then restricts to a discrete valuation on the
 function field.  Computed orders are always certified: a reported value v
 was observed at a truncation strictly beyond v, with precision escalating
-by doubling up to a cap.  Exhausting the cap raises instead of guessing,
-since an everywhere-zero prefix may mean the chosen series satisfy an
-algebraic relation.
+by doubling up to a cap.  The doubling starts above a lower bound that
+needs no substitution: a term c * x^e has image order sum e_i * ord(x_i),
+exactly, because a field has no zero divisors, so no truncation at or
+below the least of these can certify anything.  Exhausting the cap raises
+instead of guessing, since an everywhere-zero prefix may mean the chosen
+series satisfy an algebraic relation.
 
 Two embeddings are told apart constructively: if the image series first
 differ at coefficient index i, the fraction x^i / (y - (a_0 + a_1 x + ...
@@ -19,6 +22,7 @@ exactly one of them.
 from __future__ import annotations
 
 import threading
+from operator import mul
 
 import numpy as np
 
@@ -70,11 +74,14 @@ class EmbeddingValuation:
         # realized prefixes of the images of x_2, ..., x_n; t is never stored
         self._realized = [np.zeros((0, ctx.m), dtype=np.int64)
                           for _ in self.streams[1:]]
+        orders = []
         for i, s in enumerate(self.streams):
-            if self._first_nonzero(i) is None:
+            orders.append(self._first_nonzero(i))
+            if orders[-1] is None:
                 raise ValueError(
                     f"stream {s.label!r} has no nonzero coefficient below "
                     f"the cap {precision_cap}; refusing a zero image")
+        self._orders = tuple(orders)  # exact t-adic orders of the images
 
     # -- stream realization --------------------------------------------------
 
@@ -122,13 +129,21 @@ class EmbeddingValuation:
     # -- valuation -----------------------------------------------------------
 
     def _certify(self, f: MultiPoly):
-        """(order, certified precision, image) with order < precision."""
+        """(order, certified precision, image) with order < precision.
+
+        The image of f has order at least the least term order, so it
+        vanishes modulo t^n for every rung n at or below that bound; those
+        rungs are passed without substituting.
+        """
+        bound = min((sum(map(mul, exp, self._orders)) for exp in f.terms),
+                    default=0)
         n = self.start_precision
         while True:
-            image = substitute_series(f, self.images(n), n)
-            v = image.order()
-            if v is not None:
-                return v, n, image
+            if n > bound:
+                image = substitute_series(f, self.images(n), n)
+                v = image.order()
+                if v is not None:
+                    return v, n, image
             if n >= self.precision_cap:
                 raise PrecisionExhausted(
                     f"image of {f} vanishes modulo t^{n}; the series images "

@@ -2,7 +2,8 @@
 
 These are the straightforward forms the library used before it worked
 from exponent residues: a map is applied by forming the whole product g*f
-and projecting it onto the top component, and compatibility with a
+and projecting it onto the top component, which tests each exponent
+against p^e - 1 modulo p^e, and compatibility with a
 monomial ideal is decided by applying the map to u*b for every generator u
 and every one of the p^(e*n) reduced monomials b.  The differential tests
 check that charp.cartier agrees with them exactly.
@@ -10,10 +11,29 @@ check that charp.cartier agrees with them exactly.
 
 from __future__ import annotations
 
-from charp.cartier import CartierMap, trace_project
+from charp.cartier import CartierMap
 from charp.errors import ContextMismatch
+from charp.ffield import pth_root
 from charp.frobenius import free_basis
 from charp.poly import MonomialIdeal, MultiPoly
+
+
+def trace_project(f: MultiPoly, e: int) -> MultiPoly:
+    """Pushforward component of f at the top reduced monomial.
+
+    Only the one component is materialized: a term contributes exactly when
+    every exponent is congruent to p^e - 1 modulo p^e.
+    """
+    if e < 1:
+        raise ValueError("level must be >= 1")
+    pe = f.ctx.p ** e
+    top = pe - 1
+    terms = {}
+    for exp, coeff in f.terms.items():
+        if all(a % pe == top for a in exp):
+            beta = tuple((a - top) // pe for a in exp)
+            terms[beta] = pth_root(coeff, e)
+    return MultiPoly(f.ctx, f.nvars, terms)
 
 
 def apply(phi: CartierMap, f: MultiPoly) -> MultiPoly:

@@ -52,6 +52,14 @@ def test_apply_matches_reference(data):
     assert phi.apply(f) == reference.apply(phi, f)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_trace_project_matches_reference(data):
+    phi, poly, _ = data.draw(maps())
+    f = poly(8)
+    assert trace_project(f, phi.e) == reference.trace_project(f, phi.e)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_compatible_matches_enumeration(data):
@@ -88,6 +96,13 @@ class TestTraceProject:
     def test_x_cubed_char2(self, f2):
         assert trace_project(parse_poly("x^3", f2, 1), 1) == \
             parse_poly("x", f2, 1)
+
+    def test_huge_level(self, f5):
+        """No exponent reaches p^e - 1, and p^e is never formed."""
+        f = parse_poly("x^4", f5, 1)
+        assert trace_project(f, 10 ** 8).is_zero
+        with pytest.raises(ValueError):
+            trace_project(f, 0)
 
     def test_agrees_with_full_decomposition(self, rng):
         # dual route: the lazily extracted component equals the one from

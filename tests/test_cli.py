@@ -430,3 +430,27 @@ class TestBehaviors:
             capsys, "report poly-ring --p 5 --vars 0 --e 100000000")
         assert code == 0
         assert json.loads(out)["evidence"][0]["witness"]["rank"] == 1
+
+    @pytest.mark.parametrize("cmdline,expected", [
+        ("val --p 1048573 --vars 3 --stream 'from-seed(7)' "
+         "--stream 'from-seed(11)' '(x+y+z+1)^20'",
+         '{"value":0,"precision_certified":16}'),
+        # four terms give 1771 above, but two terms stay two at p = 2
+        ("decompose --p 2 --vars 2 --e 20 '(x+y)^1048576'", '{"1":"x+y"}'),
+    ])
+    def test_power_within_the_budget(self, capsys, cmdline, expected):
+        code, out, _ = run_cli(capsys, cmdline)
+        assert code == 0
+        assert out == expected + "\n"
+
+    @pytest.mark.parametrize("cmdline", [
+        "val --p 1048573 --vars 3 --stream 'from-seed(7)' "
+        "--stream 'from-seed(11)' '(x+y+z+1)^200'",
+        "decompose --p 1048573 --vars 2 --e 1 '(x+y)^1000'",
+        "decompose --p 2 --vars 3 --e 1 '(x+y+z+1)^1023'",
+    ])
+    def test_power_past_the_budget_is_a_usage_error(self, capsys, cmdline):
+        code, out, err = run_cli(capsys, cmdline)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "PolySyntaxError"

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
+import charp.parser
 from charp.errors import PolySyntaxError
 from charp.ffield import make_context
-from charp.parser import parse_poly, parse_rational
+from charp.parser import _power_products, _terms, parse_poly, parse_rational
 from charp.poly import MultiPoly, format_poly, random_poly
 
 
@@ -70,6 +71,38 @@ class TestParse:
     def test_exponent_bound(self, f2):
         with pytest.raises(PolySyntaxError):
             parse_poly("x^2147483648", f2, 1)
+
+    @pytest.mark.parametrize("p,k", [(1048573, 20), (2, 255), (3, 17),
+                                     (5, 31)])
+    def test_term_bound_follows_the_base_p_digits(self, p, k):
+        """Attained by four terms in distinct variables."""
+        ctx = make_context(p)
+        f = parse_poly(f"(x+y+z+1)^{k}", ctx, 3)
+        assert len(f.terms) == _terms(4, k, p)
+
+    @pytest.mark.parametrize("p,k", [(1048573, 40), (2, 7), (3, 26)])
+    def test_power_budget_edge(self, monkeypatch, p, k):
+        """The bound holds the products the powering takes, and is them
+        where nothing cancels."""
+        ctx = make_context(p)
+        need = _power_products(3, k, p)
+        monkeypatch.setattr(charp.parser, "POWER_BUDGET", need)
+        products = []
+        mul = MultiPoly.__mul__
+
+        def counting(a, b):
+            products.append(len(a.terms) * len(b.terms))
+            return mul(a, b)
+
+        monkeypatch.setattr(MultiPoly, "__mul__", counting)
+        got = parse_poly(f"(x+y+1)^{k}", ctx, 2)
+        monkeypatch.setattr(MultiPoly, "__mul__", mul)
+        assert got == parse_poly("x+y+1", ctx, 2) ** k
+        assert sum(products) == need if p > k else sum(products) <= need
+        monkeypatch.setattr(charp.parser, "POWER_BUDGET", need - 1)
+        with pytest.raises(PolySyntaxError) as exc:
+            parse_poly(f"(x+y+1)^{k}", ctx, 2)
+        assert exc.value.position == 8
 
 
 class TestFormatRoundTrip:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from charp import _kernels
 from charp.errors import PrecisionMismatch
@@ -36,6 +38,33 @@ class TestKernels:
             a = random_series(ctx, 24, rng)
             b = random_series(ctx, 24, rng)
             assert a * b == naive_mul(a, b, 24)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_product_of_sparse_operands_matches_naive_oracle(self, data):
+        """Operands with no, one, a few or many nonzero rows, rows at or
+        past nout, either side the sparser, and lengths on both sides of
+        the rule that picks shifted rows over convolution."""
+        draw = data.draw
+        ctx = make_context(*draw(st.sampled_from(
+            [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (5, 3), (1048573, 3)])))
+        nout = draw(st.integers(0, 72))
+
+        def operand():
+            n = draw(st.integers(0, 80))
+            rows = draw(st.one_of(
+                st.lists(st.integers(0, max(n - 1, 0)), max_size=12),
+                st.just(list(range(n)))))
+            arr = np.zeros((n, ctx.m), dtype=np.int64)
+            for i in rows[:n]:
+                arr[i] = [draw(st.integers(0, ctx.p - 1))
+                          for _ in range(ctx.m)]
+            return TruncatedSeries(ctx, arr)
+
+        a, b = operand(), operand()
+        got = _kernels.series_mul(a.coeffs, b.coeffs, ctx.reduction_array,
+                                  ctx.p, nout)
+        assert np.array_equal(got, naive_mul(a, b, nout).coeffs)
 
     def test_truncation_consistency(self, rng):
         ctx = make_context(3)
