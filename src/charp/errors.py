@@ -44,11 +44,16 @@ class PrecisionMismatch(CharpError):
 
 
 class PrecisionExhausted(CharpError):
-    """No nonzero coefficient appeared below the precision cap.
+    """No nonzero coefficient appeared below the precision cap, nor, for
+    images that know their support, in the walk past it.
 
-    This is the honest runtime signal that the series images may satisfy
-    an algebraic relation (the embedding might not be injective).  Carries
-    the last precision tried.
+    The walk gives up, so this is raised, in three cases: an image has no
+    support (a from-seed or t image); the next support index would pass
+    the exponent bound, as it does for every element of the kernel when
+    the series images satisfy an algebraic relation (the embedding is then
+    not injective); or the walk's sparse products would run past their
+    budget.  Carries the last precision at which the image was seen to
+    vanish.
     """
 
     def __init__(self, message, last_precision):

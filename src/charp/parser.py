@@ -13,7 +13,9 @@ plus `u`, the extension-field generator, which parses as a constant
 coefficient when the context has m > 1.
 
 A power is expanded only when the term products it may take fit a budget,
-bounded before expanding; past it the exponent is a syntax error.
+bounded before expanding; past it the exponent is a syntax error.  A
+product of two factors with a and b terms takes a * b term products and is
+held to the same budget; past it the `*` is a syntax error.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from .errors import PolySyntaxError
 from .ffield import FieldContext
 from .poly import EXPONENT_LIMIT, MultiPoly, RationalFn, var_names
 
-# Term products one power may take: about a second of parsing at
-# p = 1048573 on a 2-core x86 machine.
+# Term products one power, or one product, may take: about a second of
+# parsing at p = 1048573 on a 2-core x86 machine.
 POWER_BUDGET = 200_000
 
 
@@ -137,8 +139,13 @@ class _Parser:
     def _term(self) -> MultiPoly:
         result = self._unary()
         while self.toks.peek()[0] == "*":
-            self.toks.advance()
-            result = result * self._unary()
+            pos = self.toks.advance()[2]
+            factor = self._unary()
+            if len(result.terms) * len(factor.terms) > POWER_BUDGET:
+                raise PolySyntaxError(
+                    f"product takes more than {POWER_BUDGET} term products",
+                    pos)
+            result = result * factor
         return result
 
     def _unary(self) -> MultiPoly:

@@ -8,11 +8,23 @@ and are flagged transcendental-by-assumption over the rational function
 field in t.  Nothing here proves transcendence; the valuation engine's
 precision-exhaustion error is the runtime signal that a relation might
 exist.
+
+A stream may also know its support.  The contract: `support(n)` yields,
+in increasing order, every index at or above n whose coefficient is
+nonzero, and it may yield indices whose coefficient is zero as well (a
+perturbation that cancels a coefficient leaves its index in the support).
+Every index it does not yield has coefficient 0.  The gap streams list
+their exponents directly, `perturb` merges its index into its base's
+support, and `from-seed` and `t` have none (`support` is None).  The
+valuation engine realizes a stream with a support only at its support
+indices, and walks the support to certify values past the precision cap.
 """
 
 from __future__ import annotations
 
 import hashlib
+from heapq import merge
+from itertools import takewhile
 
 from .errors import PolySyntaxError
 from .ffield import FieldContext, FieldElement
@@ -22,15 +34,19 @@ DEFAULT_PRECISION_CAP = 4096
 
 
 class SeriesStream:
-    """Deterministic coefficient oracle with a descriptive label."""
+    """Deterministic coefficient oracle with a descriptive label, and
+    perhaps a support (see the module docstring)."""
 
-    __slots__ = ("ctx", "label", "oracle", "nonunit", "transcendental_assumed")
+    __slots__ = ("ctx", "label", "oracle", "support", "nonunit",
+                 "transcendental_assumed")
 
     def __init__(self, ctx: FieldContext, label: str, oracle,
-                 nonunit: bool = True, transcendental_assumed: bool = False):
+                 nonunit: bool = True, transcendental_assumed: bool = False,
+                 support=None):
         self.ctx = ctx
         self.label = label
         self.oracle = oracle
+        self.support = support
         self.nonunit = nonunit
         self.transcendental_assumed = transcendental_assumed
         if nonunit and self.coefficient(0):
@@ -41,6 +57,13 @@ class SeriesStream:
         if n < 0:
             raise ValueError("coefficient index must be nonnegative")
         return self.oracle(n)
+
+    def indices(self, start: int, stop: int):
+        """The indices in [start, stop) whose coefficient may be nonzero,
+        in increasing order: the support there, or all of them."""
+        if self.support is None:
+            return range(start, stop)
+        return takewhile(lambda n: n < stop, self.support(start))
 
     def __repr__(self):
         return f"SeriesStream({self.label!r})"
@@ -57,27 +80,34 @@ def t_stream(ctx: FieldContext) -> SeriesStream:
                         transcendental_assumed=False)
 
 
-def _exponent_set_stream(ctx, label, predicate):
+def _exponent_set_stream(ctx, label, exponents):
+    """Coefficient 1 exactly at the members of a set of positive integers;
+    exponents(n) lists the members at or above n upward, and is both the
+    support and the oracle's membership test."""
     one, zero = ctx.one, ctx.zero
 
     def oracle(n):
-        return one if n >= 1 and predicate(n) else zero
+        return one if n >= 1 and next(exponents(n)) == n else zero
 
     return SeriesStream(ctx, label, oracle, nonunit=True,
-                        transcendental_assumed=True)
+                        transcendental_assumed=True, support=exponents)
 
 
-def _is_factorial(n: int) -> bool:
+def _factorials(n: int):
+    """The factorials 1, 2, 6, 24, ... at or above n, upward."""
     f, j = 1, 1
     while f < n:
         j += 1
         f *= j
-    return f == n
+    while True:
+        yield f
+        j += 1
+        f *= j
 
 
 def lacunary(ctx: FieldContext) -> SeriesStream:
     """Coefficient 1 exactly at the factorial exponents 1, 2, 6, 24, ..."""
-    return _exponent_set_stream(ctx, "lacunary", _is_factorial)
+    return _exponent_set_stream(ctx, "lacunary", _factorials)
 
 
 def lacunary_shift(ctx: FieldContext, d: int) -> SeriesStream:
@@ -85,7 +115,8 @@ def lacunary_shift(ctx: FieldContext, d: int) -> SeriesStream:
     if d < 0:
         raise ValueError("shift must be nonnegative")
     return _exponent_set_stream(
-        ctx, f"lacunary-shift({d})", lambda n: n > d and _is_factorial(n - d))
+        ctx, f"lacunary-shift({d})",
+        lambda n: (f + d for f in _factorials(n - d)))
 
 
 def geometric_gap(ctx: FieldContext, b: int) -> SeriesStream:
@@ -93,13 +124,15 @@ def geometric_gap(ctx: FieldContext, b: int) -> SeriesStream:
     if b < 2:
         raise ValueError("gap base must be >= 2")
 
-    def is_power(n):
+    def powers(n):
         v = b
         while v < n:
             v *= b
-        return v == n
+        while True:
+            yield v
+            v *= b
 
-    return _exponent_set_stream(ctx, f"geometric-gap({b})", is_power)
+    return _exponent_set_stream(ctx, f"geometric-gap({b})", powers)
 
 
 def from_seed(ctx: FieldContext, seed: int) -> SeriesStream:
@@ -107,14 +140,17 @@ def from_seed(ctx: FieldContext, seed: int) -> SeriesStream:
 
     Each coefficient hashes (seed, n), so access is random-access and
     reproducible across processes; the constant coefficient is forced to 0.
+    The hash of the text before n is taken once and copied per index.
     """
     p, m = ctx.p, ctx.m
+    prefix = hashlib.sha256(f"charp-stream:{seed}:".encode())
 
     def oracle(n):
         if n == 0:
             return ctx.zero
-        digest = hashlib.sha256(f"charp-stream:{seed}:{n}".encode()).digest()
-        value = int.from_bytes(digest, "big")
+        digest = prefix.copy()
+        digest.update(str(n).encode())
+        value = int.from_bytes(digest.digest(), "big")
         residues = []
         for _ in range(m):
             residues.append(value % p)
@@ -126,21 +162,30 @@ def from_seed(ctx: FieldContext, seed: int) -> SeriesStream:
 
 
 def perturb(stream: SeriesStream, k: int, delta: FieldElement) -> SeriesStream:
-    """Stream with delta added to the t^k coefficient."""
+    """Stream with delta added to the t^k coefficient; its support, if the
+    base has one, is the base's with k merged in."""
     if k < 1:
         raise ValueError("perturbation index must be >= 1 (non-unit streams)")
     delta = stream.ctx.elem(delta)
-    base = stream.oracle
+    base, base_support = stream.oracle, stream.support
 
     def oracle(n):
         c = base(n)
         return c + delta if n == k else c
 
+    def support(n):
+        last = None
+        for i in merge(base_support(n), (k,) if k >= n else ()):
+            if i != last:
+                yield i
+                last = i
+
     sign = "+" if str(delta) == "1" else f"+{delta}*"
     label = f"{stream.label}{sign}t^{k}" if k != 1 else \
         f"{stream.label}{sign}t"
     return SeriesStream(stream.ctx, label, oracle, nonunit=True,
-                        transcendental_assumed=stream.transcendental_assumed)
+                        transcendental_assumed=stream.transcendental_assumed,
+                        support=None if base_support is None else support)
 
 
 def builtin_streams(ctx: FieldContext) -> dict:

@@ -8,9 +8,25 @@ was observed at a truncation strictly beyond v, with precision escalating
 by doubling up to a cap.  The doubling starts above a lower bound that
 needs no substitution: a term c * x^e has image order sum e_i * ord(x_i),
 exactly, because a field has no zero divisors, so no truncation at or
-below the least of these can certify anything.  Exhausting the cap raises
-instead of guessing, since an everywhere-zero prefix may mean the chosen
-series satisfy an algebraic relation.
+below the least of these can certify anything.
+
+Past the cap, images that know their support (see streams) are walked
+instead.  Write each non-t image as s = P_d + R_d, with P_d its support
+terms below d, and let r be the least support index at or above d over all
+images.  Every term of f(t, s) - f(t, P_d) holds a factor R_d, so it has
+order at least r: if the exact polynomial f(t, P_d) is nonzero modulo t^r,
+its order is v(f), its lowest coefficient is exact, and r is the certified
+precision.  The walk starts at the first r above both the cap and the
+term-order bound, computes f(t, P_d) modulo t^r with sparse products, and
+raises d one support index at a time.  Below the cap only the dense ladder
+certifies, so every certificate it gives is unchanged.
+
+Exhausting the cap raises instead of guessing when an image has no support
+(a from-seed or t image), when the walk's next support index would pass
+EXPONENT_LIMIT, which a nonzero image of an algebraic stream such as
+geometric-gap(p^k) cannot always outrun and a kernel element never does,
+or when the walk's term products run past WALK_BUDGET.  The error carries
+the highest precision at which the image was seen to vanish.
 
 Two embeddings are told apart constructively: if the image series first
 differ at coefficient index i, the fraction x^i / (y - (a_0 + a_1 x + ...
@@ -29,13 +45,18 @@ import numpy as np
 from .errors import (ContextMismatch, NotInRing, PrecisionExhausted,
                      StreamsAgree)
 from .ffield import FieldContext, FieldElement
-from .poly import MultiPoly, RationalFn
-from .series import TruncatedSeries, substitute_series
+from .poly import EXPONENT_LIMIT, MultiPoly, RationalFn
+from .series import TruncatedSeries, _rows, substitute_series
 from .streams import DEFAULT_PRECISION_CAP, SeriesStream, t_stream
 
 INFINITY = float("inf")
 
 START_PRECISION = 16
+
+# Term products one certification may take past the cap.  The walk's cost
+# is linear in them: on a 2-vCPU x86 VM, a walk refused at this budget took
+# 0.04 s of CPU at p = 1048573, m = 3, and one refused at ten times it 0.55 s.
+WALK_BUDGET = 200_000
 
 
 def order(s: TruncatedSeries):
@@ -86,35 +107,36 @@ class EmbeddingValuation:
     # -- stream realization --------------------------------------------------
 
     def _prefix(self, i: int, n: int) -> np.ndarray:
-        """At least n realized coefficients of stream i >= 1."""
+        """At least n realized coefficients of stream i >= 1; the oracle is
+        asked only at the indices where the coefficient may be nonzero."""
         arr = self._realized[i - 1]
         if arr.shape[0] >= n:
             return arr
         with self._lock:
             arr = self._realized[i - 1]
-            if arr.shape[0] >= n:
+            start = arr.shape[0]
+            if start >= n:
                 return arr
-            extra = np.zeros((n - arr.shape[0], self.ctx.m), dtype=np.int64)
-            oracle = self.streams[i].oracle
-            for idx in range(arr.shape[0], n):
-                extra[idx - arr.shape[0], :] = oracle(idx).coeffs
-            grown = np.concatenate([arr, extra], axis=0)
+            stream = self.streams[i]
+            oracle = stream.oracle
+            at = list(stream.indices(start, n))
+            grown = np.zeros((n, self.ctx.m), dtype=np.int64)
+            grown[:start] = arr
+            if at:
+                grown[at] = [oracle(k).coeffs for k in at]
             grown.setflags(write=False)
             self._realized[i - 1] = grown
             return grown
 
     def _first_nonzero(self, i: int):
+        """Index of the first nonzero coefficient of image i below the cap,
+        or None."""
         if i == 0:
             return 1 if self.precision_cap > 1 else None  # the image t
-        n = self.start_precision
-        while True:
-            arr = self._prefix(i, n)
-            nz = np.nonzero(arr.any(axis=1))[0]
-            if nz.size:
-                return int(nz[0])
-            if n >= self.precision_cap:
-                return None
-            n = min(2 * n, self.precision_cap)
+        stream = self.streams[i]
+        oracle = stream.oracle
+        return next((k for k in stream.indices(0, self.precision_cap)
+                     if oracle(k)), None)
 
     def images(self, precision: int) -> list:
         """Stream images at the given precision: t, built on demand, then
@@ -129,11 +151,13 @@ class EmbeddingValuation:
     # -- valuation -----------------------------------------------------------
 
     def _certify(self, f: MultiPoly):
-        """(order, certified precision, image) with order < precision.
+        """(order, certified precision, leading coefficient) with order <
+        precision.
 
         The image of f has order at least the least term order, so it
         vanishes modulo t^n for every rung n at or below that bound; those
-        rungs are passed without substituting.
+        rungs are passed without substituting.  Past the cap, the support
+        walk takes over (see the module docstring).
         """
         bound = min((sum(map(mul, exp, self._orders)) for exp in f.terms),
                     default=0)
@@ -143,12 +167,55 @@ class EmbeddingValuation:
                 image = substitute_series(f, self.images(n), n)
                 v = image.order()
                 if v is not None:
-                    return v, n, image
+                    return v, n, image.element_at(v)
             if n >= self.precision_cap:
-                raise PrecisionExhausted(
-                    f"image of {f} vanishes modulo t^{n}; the series images "
-                    "may satisfy an algebraic relation", n)
+                return self._walk(f, bound)
             n = min(2 * n, self.precision_cap)
+
+    def _walk(self, f: MultiPoly, bound: int):
+        """_certify past the cap, from f(t, P_d) modulo t^r."""
+        last, streams = self.precision_cap, self.streams[1:]
+        if any(s.support is None for s in streams):
+            raise PrecisionExhausted(
+                f"image of {f} vanishes modulo t^{last}; the series images "
+                "may satisfy an algebraic relation", last)
+        d = max(last, bound) + 1
+        supports = [s.support(0) for s in streams]
+        heads, terms = [], []  # per image: next support index >= d, P_d
+        for s, support in zip(streams, supports):
+            k, P = next(support, INFINITY), {}
+            while k < d:
+                c = s.oracle(k)
+                if c:
+                    P[k] = c
+                k = next(support, INFINITY)
+            heads.append(k)
+            terms.append(P)
+        sparse = _Sparse(self.ctx, WALK_BUDGET)
+        while True:
+            r = min(heads, default=INFINITY)
+            if r > EXPONENT_LIMIT:
+                reason = "the series images may satisfy an algebraic relation"
+                break
+            try:
+                image = sparse.substitute(f, terms, r)
+            except _OutOfBudget:
+                reason = (f"certifying further takes more than {WALK_BUDGET} "
+                          "term products")
+                break
+            exps, rows = image
+            if exps.size:
+                lead = FieldElement(self.ctx, tuple(map(int, rows[0])))
+                return int(exps[0]), r, lead
+            last = r
+            for j, s in enumerate(streams):
+                if heads[j] == r:
+                    c = s.oracle(r)
+                    if c:
+                        terms[j][r] = c
+                    heads[j] = next(supports[j], INFINITY)
+        raise PrecisionExhausted(
+            f"image of {f} vanishes modulo t^{last}; {reason}", last)
 
     def valuate_with_certificate(self, f: MultiPoly):
         """(value, certified precision); the zero polynomial has value
@@ -181,14 +248,14 @@ class EmbeddingValuation:
         r = self._as_rational(r)
         if r.num.is_zero:
             return self.ctx.zero
-        v_num, _, img_num = self._certify(r.num)
-        v_den, _, img_den = self._certify(r.den)
+        v_num, _, lead_num = self._certify(r.num)
+        v_den, _, lead_den = self._certify(r.den)
         value = v_num - v_den
         if value < 0:
             raise NotInRing(f"value {value} < 0, not in the valuation ring")
         if value > 0:
             return self.ctx.zero
-        return img_num.element_at(v_num) / img_den.element_at(v_den)
+        return lead_num / lead_den
 
     # -- helpers -------------------------------------------------------------
 
@@ -211,13 +278,140 @@ class EmbeddingValuation:
         return f"EmbeddingValuation([{labels}], cap={self.precision_cap})"
 
 
+def _truncate(s, n: int):
+    """A sparse series (exponents, rows) modulo t^n."""
+    cut = np.searchsorted(s[0], n)
+    return s[0][:cut], s[1][:cut]
+
+
+class _OutOfBudget(Exception):
+    """The sparse products of one walk ran past their budget."""
+
+
+class _Sparse:
+    """Sparse series modulo t^n, each a pair of a sorted exponent array and
+    its (k, m) array of residue rows: products, powers and substitution,
+    each charged the term products it takes against a budget."""
+
+    def __init__(self, ctx: FieldContext, budget: int):
+        self.ctx = ctx
+        self.left = budget
+        self.scalings: dict = {}
+
+    def _charge(self, products: int):
+        self.left -= products
+        if self.left < 0:
+            raise _OutOfBudget
+
+    def series(self, terms: dict):
+        """The pair for {exponent: FieldElement}."""
+        exps = sorted(terms)
+        rows = [terms[e].coeffs for e in exps]
+        return (np.array(exps, dtype=np.int64),
+                np.array(rows, dtype=np.int64).reshape(-1, self.ctx.m))
+
+    def _scale(self, rows: np.ndarray, c: tuple) -> np.ndarray:
+        """Each row times the field element with residues c."""
+        ctx = self.ctx
+        if ctx.m == 1:
+            return rows * c[0] % ctx.p
+        if c not in self.scalings:
+            self.scalings[c] = _rows(FieldElement(ctx, c), ctx.generator())
+        return rows @ self.scalings[c] % ctx.p
+
+    def _collect(self, exps: list, rows: list):
+        """The sum of the given terms, without zero rows."""
+        if not exps:
+            return self.series({})
+        exps, at = np.unique(np.concatenate(exps), return_inverse=True)
+        out = np.zeros((exps.size, self.ctx.m), dtype=np.int64)
+        np.add.at(out, at, np.concatenate(rows))
+        out %= self.ctx.p
+        keep = out.any(axis=1)
+        return exps[keep], out[keep]
+
+    def mul(self, a, b, n: int):
+        """a * b modulo t^n, charged the term products below t^n."""
+        if a[0].size > b[0].size:
+            a, b = b, a
+        (ae, ar), (be, br) = a, b
+        lims = np.searchsorted(be, n - ae).tolist()
+        self._charge(sum(lims))
+        exps, rows = [], []
+        for i, row, lim in zip(ae.tolist(), ar.tolist(), lims):
+            if lim:
+                exps.append(be[:lim] + i)
+                rows.append(self._scale(br[:lim], tuple(row)))
+        return self._collect(exps, rows)
+
+    def power(self, y, k: int, n: int, memo: dict):
+        """y^k modulo t^n for k >= 1, memoized in memo as k -> (n, y^k).
+
+        As for dense series, Y^k = Y^(k mod p) * F(Y^(k div p)) with F the
+        Frobenius stretch, which needs Y^(k div p) only modulo t^ceil(n/p).
+        """
+        if not y[0].size or int(y[0][0]) * k >= n:
+            return self.series({})
+        known = memo.get(k)
+        if known is not None and known[0] >= n:
+            return _truncate(known[1], n)
+        ctx = self.ctx
+        if k == 1:
+            out = _truncate(y, n)
+        elif k < ctx.p:
+            half = self.power(y, k // 2, n, memo)
+            out = self.mul(half, half, n)
+            if k & 1:
+                out = self.mul(out, self.power(y, 1, n, memo), n)
+        else:
+            q, d = divmod(k, ctx.p)
+            exps, rows = self.power(y, q, -(-n // ctx.p), memo)
+            self._charge(exps.size)
+            if ctx.m > 1:
+                frobenius = np.array(ctx.frobenius_matrix(1), dtype=np.int64)
+                rows = rows @ frobenius % ctx.p
+            out = exps * ctx.p, rows
+            if d:
+                out = self.mul(self.power(y, d, n, memo), out, n)
+        memo[k] = (n, out)
+        return out
+
+    def substitute(self, f: MultiPoly, images, n: int):
+        """f(t, images) modulo t^n; terms are grouped by their exponents
+        past x's, as in substitute_series."""
+        groups: dict = {}
+        for exp, c in f.terms.items():
+            if exp[0] < n:
+                groups.setdefault(exp[1:], []).append((exp[0], c))
+        images = [self.series(y) for y in images]
+        memos = [{} for _ in images]
+        exps, rows = [], []
+        for rest, group in groups.items():
+            need = n - min(a for a, _ in group)
+            prod = self.series({0: self.ctx.one})
+            for y, e, memo in zip(images, rest, memos):
+                if e and prod[0].size:
+                    prod = self.mul(prod, self.power(y, e, need, memo), need)
+            self._charge(prod[0].size * len(group))
+            for a, c in group:
+                cut = np.searchsorted(prod[0], n - a)
+                exps.append(prod[0][:cut] + a)
+                rows.append(self._scale(prod[1][:cut], c.coeffs))
+        return self._collect(exps, rows)
+
+
 def first_difference(stream_a: SeriesStream, stream_b: SeriesStream,
                      cap: int = DEFAULT_PRECISION_CAP) -> int:
     """Smallest index where the two streams disagree; StreamsAgree if none
-    exists below the cap."""
+    exists below the cap.  Where both streams have a support, only indices
+    in one of them are compared: elsewhere both coefficients are 0."""
     if stream_a.ctx is not stream_b.ctx:
         raise ContextMismatch("streams over different fields")
-    for n in range(cap):
+    indices = range(cap)
+    if stream_a.support is not None and stream_b.support is not None:
+        indices = sorted({*stream_a.indices(0, cap),
+                          *stream_b.indices(0, cap)})
+    for n in indices:
         if stream_a.coefficient(n) != stream_b.coefficient(n):
             return n
     raise StreamsAgree(
@@ -237,7 +431,7 @@ def distinguishing_fraction(stream_a: SeriesStream, stream_b: SeriesStream,
     i = first_difference(stream_a, stream_b, cap)
     num = MultiPoly.monomial(ctx, 2, (i, 0))
     den = MultiPoly.variable(ctx, 2, 1)
-    for n in range(i + 1):
+    for n in stream_a.indices(0, i + 1):
         a_n = stream_a.coefficient(n)
         if a_n:
             den = den - MultiPoly.monomial(ctx, 2, (n, 0), a_n)
@@ -248,7 +442,7 @@ def fraction_construction_string(stream_a: SeriesStream, i: int) -> str:
     """Human-oriented rendering x^i/(y-a_0-a_1*x-...) of the separating
     fraction, written as constructed rather than in canonical term order."""
     pieces = ["y"]
-    for n in range(i + 1):
+    for n in stream_a.indices(0, i + 1):
         a_n = stream_a.coefficient(n)
         if not a_n:
             continue

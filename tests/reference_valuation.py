@@ -1,14 +1,21 @@
-"""Reference precision ladder, kept only as a test oracle.
+"""Reference precision ladder and stream loops, kept only as test oracles.
 
-This is the certification loop EmbeddingValuation used before it started
-above the term-order lower bound: substitute at the start precision and
-at every doubling up to the cap.  The differential tests check that
-EmbeddingValuation agrees with it exactly, certificates and errors alike.
+`certify` is the certification loop EmbeddingValuation used before it
+started above the term-order lower bound: substitute at the start
+precision and at every doubling up to the cap.  The differential tests
+check that EmbeddingValuation agrees with it exactly, certificates and
+errors alike, below the cap, and on values and leading coefficients past
+it, where the reference is run at a larger cap.
+
+`realize` and `first_difference` ask a stream's oracle at every index, as
+the engine did before streams knew their support.
 """
 
 from __future__ import annotations
 
-from charp.errors import NotInRing, PrecisionExhausted
+import numpy as np
+
+from charp.errors import NotInRing, PrecisionExhausted, StreamsAgree
 from charp.poly import MultiPoly
 from charp.series import substitute_series
 from charp.valuation import EmbeddingValuation
@@ -42,3 +49,22 @@ def residue(V: EmbeddingValuation, r):
     if value > 0:
         return V.ctx.zero
     return img_num.element_at(v_num) / img_den.element_at(v_den)
+
+
+def realize(stream, n: int) -> np.ndarray:
+    """The first n coefficients of a stream, one oracle call per index."""
+    out = np.zeros((n, stream.ctx.m), dtype=np.int64)
+    for idx in range(n):
+        out[idx, :] = stream.coefficient(idx).coeffs
+    return out
+
+
+def first_difference(stream_a, stream_b, cap: int) -> int:
+    """The first index below the cap where the streams differ, comparing
+    every index."""
+    for n in range(cap):
+        if stream_a.coefficient(n) != stream_b.coefficient(n):
+            return n
+    raise StreamsAgree(
+        f"streams {stream_a.label!r} and {stream_b.label!r} agree below "
+        f"index {cap}")

@@ -1,6 +1,9 @@
 """Certification against the reference ladder, which substitutes at every
 rung: starting above the term-order lower bound changes no certificate,
-no residue and no error."""
+no residue and no error.  Past the cap, where the reference raises, the
+support walk must agree with the reference run at the precision the walk
+saw: the same value and leading coefficient where the walk certifies, the
+same exhaustion where it raises."""
 
 import pytest
 from hypothesis import given, settings
@@ -12,11 +15,13 @@ from charp.ffield import make_context
 from charp.parser import parse_poly
 from charp.poly import MultiPoly, RationalFn
 from charp.streams import (from_seed, geometric_gap, lacunary,
-                           lacunary_shift, perturb)
+                           lacunary_shift, parse_stream_spec, perturb)
 from charp.valuation import EmbeddingValuation
 from reference_valuation import certify, residue
 
 FIELDS = [(p, m) for p in (2, 3, 5, 1048573) for m in (1, 2, 3)]
+# Largest cap at which the tests run the dense reference ladder.
+REFERENCE_CAP = 1 << 15
 
 
 def outcome(fn, *args):
@@ -38,9 +43,9 @@ def element(draw, ctx, nonzero=False):
 
 
 @st.composite
-def stream(draw, ctx):
+def stream(draw, ctx, kinds=("lacunary", "shift", "gap", "seed")):
     """A gap or from-seed stream, perhaps perturbed."""
-    kind = draw(st.sampled_from(["lacunary", "shift", "gap", "seed"]))
+    kind = draw(st.sampled_from(kinds))
     if kind == "lacunary":
         s = lacunary(ctx)
     elif kind == "shift":
@@ -77,11 +82,72 @@ def polynomial(draw, V):
 
 
 @st.composite
-def valuations(draw):
+def valuations(draw, caps=st.integers(1, 256), **kinds):
     """(cap, streams) over a drawn field with 2 or 3 variables."""
     ctx = make_context(*draw(st.sampled_from(FIELDS)))
-    streams = [draw(stream(ctx)) for _ in range(draw(st.integers(1, 2)))]
-    return ctx, draw(st.integers(1, 256)), streams
+    streams = [draw(stream(ctx, **kinds))
+               for _ in range(draw(st.integers(1, 2)))]
+    return ctx, draw(caps), streams
+
+
+def walks(V):
+    """Whether certification goes on past the cap: every image after x's
+    has a support."""
+    return all(s.support is not None for s in V.streams[1:])
+
+
+def failed(got):
+    return isinstance(got, tuple) and isinstance(got[0], type)
+
+
+def reach(got):
+    """The precision a _certify outcome saw: its certificate, or the last
+    precision at which the image was seen to vanish."""
+    return got[2] if failed(got) else got[1]
+
+
+def seen(got):
+    """An outcome without a certificate: a value and leading coefficient, a
+    residue, or an error.  A PrecisionExhausted keeps its type and precision
+    but not its message, whose reason may differ between the walk and the
+    reference; every other error keeps its message."""
+    if failed(got):
+        return got[:1] + got[2:] if got[0] is PrecisionExhausted else got
+    return (got[0], got[2]) if isinstance(got, tuple) else got
+
+
+def at_cap(V, cap):
+    return EmbeddingValuation(V.ctx, V.streams[1:], precision_cap=cap)
+
+
+def check_walk(V, f):
+    """V._certify against the reference at the precision the walk saw."""
+    got = outcome(V._certify, f)
+    if not failed(got):
+        assert got[0] < got[1]
+    if reach(got) > REFERENCE_CAP:
+        return
+    want = outcome(certify, at_cap(V, reach(got)), f)
+    if not failed(want):
+        want = (want[0], want[1], want[2].element_at(want[0]))
+    assert seen(got) == seen(want)
+
+
+def check_residue(V, r):
+    """V.residue against the reference, which, where it raises at V's cap,
+    is run at the precision where the walk raised, or else at the larger
+    of the two certificates."""
+    got, want = outcome(V.residue, r), outcome(residue, V, r)
+    if not (failed(want) and want[0] is PrecisionExhausted and walks(V)):
+        assert got == want
+        return
+    if failed(got) and got[0] is PrecisionExhausted:
+        cap = reach(got)
+    else:
+        cap = max(reach(outcome(V._certify, h)) for h in (r.num, r.den))
+    if cap > REFERENCE_CAP:
+        return
+    assert seen(got) == seen(outcome(residue, at_cap(V, cap), r))
 
 
 @settings(max_examples=200, deadline=None)
@@ -95,41 +161,123 @@ def test_certify_matches_reference(case, data):
             not any(s.coefficient(i) for i in range(cap)) for s in streams)
         return
     f = data.draw(polynomial(V))
-    want, got = outcome(certify, V, f), outcome(V._certify, f)
-    if isinstance(want[0], type):
-        assert got == want
+    want = outcome(certify, V, f)
+    if want[0] is PrecisionExhausted and walks(V):
+        check_walk(V, f)
+    elif failed(want):
+        assert outcome(V._certify, f) == want
     else:
-        assert got[:2] == want[:2] and got[2] == want[2]
+        assert outcome(V._certify, f) == \
+            (want[0], want[1], want[2].element_at(want[0]))
     g = data.draw(polynomial(V))
     if g:
-        r = RationalFn(f, g)
-        assert outcome(V.residue, r) == outcome(residue, V, r)
+        check_residue(V, RationalFn(f, g))
 
 
-@pytest.mark.parametrize("text, cap, precisions, want", [
-    ("x^100*y", 4096, [128], 101),
-    ("x^5000*y", 4096, [], PrecisionExhausted),
-    ("y - x - x^2 - x^6", 4096, [16, 32], 24),
-])
-def test_ladder_starts_above_the_lower_bound(text, cap, precisions, want,
-                                              monkeypatch):
-    """Under lacunary (order 1), x^100*y has every term order at 101, so
-    the one substitution is at 128; a bound at the cap needs none."""
-    ctx = make_context(2)
-    V = EmbeddingValuation(ctx, [lacunary(ctx)], precision_cap=cap)
+@st.composite
+def deep_polynomial(draw, V):
+    """x^s * A^r, with A an approximant of y's image to a drawn support
+    index, times a unit and plus sparse terms of degree 12 or more, so
+    that the value often lies past a small cap."""
+    ctx, nvars = V.ctx, V.nvars
+    x = MultiPoly.variable(ctx, nvars, 0)
+    approx = MultiPoly.variable(ctx, nvars, 1)
+    stream = V.streams[1]
+    for i in stream.indices(0, draw(st.integers(1, 800))):
+        approx = approx - MultiPoly.monomial(
+            ctx, nvars, (i,) + (0,) * (nvars - 1), stream.coefficient(i))
+    unit = MultiPoly.const(ctx, nvars, draw(element(ctx, nonzero=True)))
+    f = unit * x ** draw(st.integers(0, 40)) * approx ** draw(
+        st.integers(1, 3))
+    for _ in range(draw(st.integers(0, 2))):
+        exp = tuple(draw(st.integers(0, 40)) for _ in range(nvars))
+        if sum(exp) >= 12:
+            f = f + MultiPoly.monomial(ctx, nvars, exp, draw(element(ctx)))
+    return f
+
+
+@settings(max_examples=150, deadline=None)
+@given(valuations(caps=st.integers(2, 64),
+                  kinds=("lacunary", "shift", "gap")), st.data())
+def test_walk_matches_reference_past_the_cap(case, data):
+    """One or two gap images and values deep past a small cap: the walk
+    agrees with the reference ladder run at the walk's certificate, on
+    polynomials and on residues of fractions."""
+    ctx, cap, streams = case
+    try:
+        V = EmbeddingValuation(ctx, streams, precision_cap=cap)
+    except ValueError:
+        return
+    f = data.draw(deep_polynomial(V))
+    if f:
+        check_walk(V, f)
+    g = data.draw(deep_polynomial(V))
+    if f and g:
+        check_residue(V, RationalFn(f, g))
+
+
+def counted_substitutions(monkeypatch):
+    """The precisions of every substitution made from now on."""
     seen = []
+    substitute = charp.valuation.substitute_series
 
     def counting(f, images, precision):
         seen.append(precision)
         return substitute(f, images, precision)
 
-    substitute = charp.valuation.substitute_series
     monkeypatch.setattr(charp.valuation, "substitute_series", counting)
-    f = parse_poly(text, ctx, 2)
-    if want is PrecisionExhausted:
-        with pytest.raises(PrecisionExhausted) as exc:
-            V.valuate(f)
-        assert exc.value.last_precision == cap
-    else:
-        assert V.valuate(f) == want
+    return seen
+
+
+@pytest.mark.parametrize("text, cap, precisions, want", [
+    ("x^100*y", 4096, [128], 101),
+    ("x^5000*y", 4096, [], 5001),
+    ("y - x - x^2 - x^6", 4096, [16, 32], 24),
+])
+def test_ladder_starts_above_the_lower_bound(text, cap, precisions, want,
+                                              monkeypatch):
+    """Under lacunary (order 1), x^100*y has every term order at 101, so
+    the one substitution is at 128; a bound at the cap needs none, and the
+    support walk certifies x^5000*y at the next factorial, 5040."""
+    ctx = make_context(2)
+    V = EmbeddingValuation(ctx, [lacunary(ctx)], precision_cap=cap)
+    seen = counted_substitutions(monkeypatch)
+    assert V.valuate(parse_poly(text, ctx, 2)) == want
     assert seen == precisions
+
+
+def test_bound_at_the_cap_without_a_support_exhausts(monkeypatch):
+    """A from-seed image has no support to walk: x^5000*y exhausts the
+    cap with no substitution."""
+    ctx = make_context(2)
+    V = EmbeddingValuation(ctx, [from_seed(ctx, 7)], precision_cap=4096)
+    seen = counted_substitutions(monkeypatch)
+    with pytest.raises(PrecisionExhausted) as exc:
+        V.valuate(parse_poly("x^5000*y", ctx, 2))
+    assert exc.value.last_precision == 4096
+    assert seen == []
+
+
+@pytest.mark.parametrize("text, streams, last", [
+    # value 123 from y^38*z^47, but with two lacunary-type images their
+    # 38th and 47th powers take more than the walk's budget of term
+    # products modulo t^720, the support index after 121
+    ("y-x^2-x^3-x^7-x^25-x^121+y^38*z^47",
+     ("lacunary-shift(1)", "lacunary+t"), 121),
+    # s = geometric-gap(2) satisfies s^2 + s + t^2 = 0 at p = 2
+    ("y^2+y+x^2", ("geometric-gap(2)",), 1 << 30),
+])
+def test_walk_exhaustion_matches_reference(text, streams, last):
+    """Where the walk gives up, its image vanishes modulo the precision it
+    reports, as the reference ladder run there confirms."""
+    ctx = make_context(2 if len(streams) == 1 else 1048573)
+    images = [parse_stream_spec(s, ctx) for s in streams]
+    V = EmbeddingValuation(ctx, images, precision_cap=17)
+    f = parse_poly(text, ctx, V.nvars)
+    with pytest.raises(PrecisionExhausted) as exc:
+        V.valuate(f)
+    assert exc.value.last_precision == last
+    if last <= REFERENCE_CAP:
+        with pytest.raises(PrecisionExhausted) as exc:
+            certify(at_cap(V, last), f)
+        assert exc.value.last_precision == last

@@ -8,6 +8,7 @@ import pytest
 
 from charp import cli, errors
 from charp.cli import build_parser, main
+from charp.valuation import WALK_BUDGET, _Sparse
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -454,3 +455,89 @@ class TestBehaviors:
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"] == "PolySyntaxError"
+
+    def test_product_within_the_budget(self, capsys):
+        # 1771 x 20 term products
+        code, out, _ = run_cli(
+            capsys, "val --p 1048573 --vars 3 --stream 'from-seed(7)' "
+            "--stream 'from-seed(11)' '(x+y+z+1)^20*(x+y+z+1)^3'")
+        assert code == 0
+        assert out == '{"value":0,"precision_certified":16}\n'
+
+    def test_product_past_the_budget_is_a_usage_error(self, capsys):
+        # 1771 x 1771 term products, although each power is within budget
+        code, out, err = run_cli(
+            capsys, "val --p 1048573 --vars 3 --stream 'from-seed(7)' "
+            "--stream 'from-seed(11)' '(x+y+z+1)^20*(x+y+z+1)^20'")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "PolySyntaxError",
+            "message": "product takes more than 200000 term products "
+                       "(at position 12)"}
+
+
+class TestPastTheCap:
+    """Gap-stream values the dense ladder cannot reach below the cap are
+    certified by walking the streams' supports."""
+
+    @pytest.mark.parametrize("cmdline,expected", [
+        ("val --p 2 --stream lacunary '(y-x-x^2-x^6-x^24-x^120-x^720)^8'",
+         '{"value":40320,"precision_certified":362880}'),
+        ("val --p 2 --stream lacunary '(y-x-x^2-x^6-x^24-x^120-x^720)^256'",
+         '{"value":1290240,"precision_certified":3628800}'),
+        ("val --p 2 --stream lacunary 'x^5000*y'",
+         '{"value":5001,"precision_certified":5040}'),
+        ("val --p 3 --stream 'geometric-gap(2)' --precision-cap 64 "
+         "'x^7/(y-x^2-x^4-x^8-x^16-x^32)'",
+         '{"value":-57,"precision_certified":128}'),
+    ])
+    def test_value_past_the_cap(self, capsys, cmdline, expected):
+        code, out, _ = run_cli(capsys, cmdline)
+        assert code == 0
+        assert out == expected + "\n"
+
+    def test_distinguish_past_the_cap(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "dvr distinguish --p 2 --stream-a lacunary "
+            "--stream-b lacunary+t^3000")
+        assert code == 0
+        got = json.loads(out)
+        assert (got["i"], got["in_ring_a"], got["in_ring_b"]) == \
+            (3000, False, True)
+
+    @pytest.mark.parametrize("cmdline,reason", [
+        # s = geometric-gap(2) satisfies s^2 + s + t^2 = 0 at p = 2
+        ("val --p 2 --stream 'geometric-gap(2)' 'y^2+y+x^2'",
+         "may satisfy an algebraic relation"),
+        ("val --p 1048573 --stream 'geometric-gap(3)' --precision-cap 16 "
+         "'(y+x^2)^400'", "takes more than 200000 term products"),
+        # from-seed has no support, so nothing is walked past the cap
+        ("val --p 2 --stream 'from-seed(7)' 'x^5000*y'",
+         "may satisfy an algebraic relation"),
+    ])
+    def test_walk_ends_cleanly(self, capsys, monkeypatch, cmdline, reason):
+        """The walk stops within its bounds: a geometric gap has at most
+        31 support indices below 2^31, and no charge is made past the one
+        that overruns the budget."""
+        steps, charged = [], []
+        substitute, charge = _Sparse.substitute, _Sparse._charge
+
+        def counting_substitute(self, *args):
+            steps.append(args[-1])
+            return substitute(self, *args)
+
+        def counting_charge(self, products):
+            charged.append(products)
+            return charge(self, products)
+
+        monkeypatch.setattr(_Sparse, "substitute", counting_substitute)
+        monkeypatch.setattr(_Sparse, "_charge", counting_charge)
+        code, out, err = run_cli(capsys, cmdline)
+        assert len(steps) <= 31
+        assert sum(charged[:-1]) <= WALK_BUDGET
+        assert code == 1
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "PrecisionExhausted"
+        assert payload["message"].endswith(reason)

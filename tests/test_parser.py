@@ -104,6 +104,17 @@ class TestParse:
             parse_poly(f"(x+y+1)^{k}", ctx, 2)
         assert exc.value.position == 8
 
+    def test_product_budget_edge(self, monkeypatch):
+        """A product of a- and b-term factors takes a * b term products;
+        past the budget the `*` is the error."""
+        ctx = make_context(1048573)
+        monkeypatch.setattr(charp.parser, "POWER_BUDGET", 12)
+        assert parse_poly("(x+y+z+1)*(x+y+1)", ctx, 3) == \
+            parse_poly("x+y+z+1", ctx, 3) * parse_poly("x+y+1", ctx, 3)
+        with pytest.raises(PolySyntaxError) as exc:
+            parse_poly("2*x*(x+y+z+1)*(x+y+z+1)", ctx, 3)
+        assert exc.value.position == 13
+
 
 class TestFormatRoundTrip:
     def test_round_trip_1000_random(self):

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from charp.errors import PolySyntaxError
@@ -130,3 +132,67 @@ class TestSpecLanguage:
         direct = lacunary_shift(f2, 1)
         assert all(spec.coefficient(n) == direct.coefficient(n)
                    for n in range(40))
+
+
+def support_streams(ctx):
+    """Catalog streams with a support, plus perturbations of them: one
+    that adds an index, one that cancels a support coefficient, and one
+    stacked on another."""
+    one = ctx.one
+    streams = [s for s in builtin_streams(ctx).values() if s.support]
+    streams += [lacunary_shift(ctx, 3), geometric_gap(ctx, 5),
+                perturb(lacunary(ctx), 10, one),
+                perturb(lacunary(ctx), 6, -one),
+                perturb(perturb(geometric_gap(ctx, 3), 9, -one), 5, one)]
+    return streams
+
+
+class TestSupport:
+    @pytest.mark.parametrize("p, m", [(2, 1), (3, 2), (5, 1)])
+    def test_support_lists_every_nonzero_index_upward(self, p, m):
+        ctx = make_context(p, m)
+        for s in support_streams(ctx):
+            nonzero = [n for n in range(800) if s.coefficient(n)]
+            for start in (0, 1, 2, 7, 24, 100, 721):
+                listed = list(s.indices(start, 800))
+                assert listed == sorted(set(listed)), s.label
+                assert all(start <= n < 800 for n in listed), s.label
+                assert {n for n in nonzero if n >= start} <= set(listed), \
+                    s.label
+
+    def test_gap_supports_are_their_exponents(self, f2):
+        assert list(lacunary(f2).indices(0, 1000)) == [1, 2, 6, 24, 120, 720]
+        assert list(lacunary_shift(f2, 3).indices(5, 200)) == [5, 9, 27, 123]
+        assert list(geometric_gap(f2, 3).indices(10, 300)) == [27, 81, 243]
+
+    def test_perturbation_merges_its_index(self, f3):
+        added = perturb(lacunary(f3), 10, f3.one)
+        assert list(added.indices(0, 30)) == [1, 2, 6, 10, 24]
+        # a cancelled coefficient leaves its index, with coefficient 0
+        cancelled = perturb(lacunary(f3), 6, -f3.one)
+        assert list(cancelled.indices(0, 30)) == [1, 2, 6, 24]
+        assert not cancelled.coefficient(6)
+        # an index already in the support is listed once
+        assert list(perturb(lacunary(f3), 2, f3.one).indices(0, 10)) == \
+            [1, 2, 6]
+
+    def test_from_seed_and_t_have_no_support(self, f2):
+        for s in (from_seed(f2, 7), t_stream(f2),
+                  perturb(from_seed(f2, 7), 3, f2.one)):
+            assert s.support is None
+            assert list(s.indices(3, 9)) == list(range(3, 9))
+
+    @pytest.mark.parametrize("p, m", [(2, 1), (5, 3), (1048573, 2)])
+    def test_from_seed_hashes_seed_and_index(self, p, m):
+        """Copying the hash of the prefix changes no coefficient."""
+        ctx = make_context(p, m)
+        for seed in (0, 7, 123456):
+            s = from_seed(ctx, seed)
+            for n in (1, 2, 17, 4095, 10 ** 6):
+                value = int.from_bytes(hashlib.sha256(
+                    f"charp-stream:{seed}:{n}".encode()).digest(), "big")
+                residues = []
+                for _ in range(m):
+                    residues.append(value % p)
+                    value //= p
+                assert s.coefficient(n).coeffs == tuple(residues)

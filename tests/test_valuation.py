@@ -1,16 +1,21 @@
 import random
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_valuation
 from charp.errors import (ContextMismatch, NotInRing, PrecisionExhausted,
                           StreamsAgree)
 from charp.ffield import make_context
 from charp.parser import parse_poly, parse_rational
 from charp.poly import MultiPoly, RationalFn, random_nonzero_poly
 from charp.series import TruncatedSeries
-from charp.streams import (builtin_streams, from_seed, lacunary,
-                           parse_stream_spec, t_stream)
+from charp.streams import (builtin_streams, from_seed, geometric_gap,
+                           lacunary, lacunary_shift, parse_stream_spec,
+                           perturb, t_stream)
 from charp.valuation import (INFINITY, EmbeddingValuation,
                              distinguishing_fraction,
                              fraction_construction_string, first_difference,
@@ -231,3 +236,80 @@ class TestConcurrency:
             results = list(pool.map(job, range(16)))
         assert len(set(results)) == 1
         assert results[0][0] == 120
+
+
+def catalog_and_perturbations(ctx):
+    """Every catalog stream, plus perturbations that add an index, cancel
+    a coefficient, or perturb a stream without a support."""
+    one = ctx.one
+    return list(builtin_streams(ctx).values()) + [
+        perturb(lacunary(ctx), 10, one), perturb(lacunary(ctx), 6, -one),
+        perturb(perturb(geometric_gap(ctx, 3), 9, -one), 5000, one),
+        perturb(from_seed(ctx, 7), 3, one)]
+
+
+class TestRealization:
+    @pytest.mark.parametrize("p, m", [(2, 1), (3, 2), (1048573, 3)])
+    def test_matches_index_by_index_realization(self, p, m):
+        """Realized in several steps, each prefix equals the one an oracle
+        call per index gives."""
+        ctx = make_context(p, m)
+        for s in catalog_and_perturbations(ctx):
+            V = EmbeddingValuation(ctx, [s], precision_cap=8192)
+            want = reference_valuation.realize(s, 6000)
+            for n in (1, 5, 17, 100, 1000, 5001, 6000):
+                got = V._prefix(1, n)
+                assert got.shape[0] >= n
+                assert np.array_equal(got[:n], want[:n]), (s.label, n)
+
+    def test_oracle_asked_only_at_support_indices(self, f2):
+        asked = []
+        s = lacunary(f2)
+        oracle = s.oracle
+        s.oracle = lambda n: asked.append(n) or oracle(n)
+        V = EmbeddingValuation(f2, [s])
+        asked.clear()  # the unit check asks for index 0
+        V.images(4096)
+        assert asked == [1, 2, 6, 24, 120, 720]
+
+
+@st.composite
+def stream_pair(draw):
+    """Two catalog streams over one field, each with zero to two
+    perturbations, some cancelling and some at or past the cap."""
+    ctx = make_context(*draw(st.sampled_from(
+        [(2, 1), (3, 1), (5, 2), (1048573, 1)])))
+    cap = draw(st.integers(1, 4096))
+    names = sorted(builtin_streams(ctx)) + ["lacunary-shift(3)",
+                                             "geometric-gap(5)"]
+    catalog = dict(builtin_streams(ctx), **{
+        "lacunary-shift(3)": lacunary_shift(ctx, 3),
+        "geometric-gap(5)": geometric_gap(ctx, 5)})
+    base = draw(st.sampled_from(names))
+    streams = []
+    for _ in range(2):
+        s = catalog[draw(st.sampled_from([base] + names))]
+        for _ in range(draw(st.integers(0, 2))):
+            k = draw(st.one_of(st.sampled_from([1, 2, 6, 24, 120, 720]),
+                               st.integers(1, 5000)))
+            delta = draw(st.one_of(st.just(-s.coefficient(k)),
+                                   st.integers(1, ctx.p - 1)))
+            if delta:
+                s = perturb(s, k, ctx.elem(delta))
+        streams.append(s)
+    return streams[0], streams[1], cap
+
+
+@settings(max_examples=150, deadline=None)
+@given(stream_pair())
+def test_first_difference_matches_the_index_loop(pair):
+    a, b, cap = pair
+
+    def outcome(fn):
+        try:
+            return fn(a, b, cap)
+        except StreamsAgree as exc:
+            return str(exc)
+
+    assert outcome(first_difference) == \
+        outcome(reference_valuation.first_difference)
