@@ -165,7 +165,7 @@ class FieldContext:
     """Fixed presentation of F_{p^m}; one instance per (p, m) pair."""
 
     __slots__ = ("p", "m", "modulus", "reduction", "_reduction_array",
-                 "_frobenius", "zero", "one", "_u")
+                 "_scaling_array", "_frobenius", "zero", "one", "_u")
 
     def __init__(self, p: int, m: int):
         self.p = p
@@ -201,6 +201,27 @@ class FieldContext:
                 arr[k, :] = row
             arr.setflags(write=False)
             self._reduction_array = arr
+        return arr
+
+    @property
+    def scaling_array(self):
+        """Read-only int64 array of shape (m, m, m) for the series kernels:
+        entry [j] is the F_p matrix of a -> a * u^j on residue vectors, so
+        for c = sum c_j u^j the matrix of a -> c * a is sum c_j [j].
+
+        Row k of [j] is the residue vector of u^(j+k).  Built on first use,
+        and its slot stays unset until then, so that fields which never
+        reach series code pay nothing for it.
+        """
+        arr = getattr(self, "_scaling_array", None)
+        if arr is None:
+            import numpy as np
+            m = self.m
+            powers = np.vstack([np.eye(m, dtype=np.int64),
+                                self.reduction_array[:, :m]])
+            arr = np.stack([powers[j:j + m] for j in range(m)])
+            arr.setflags(write=False)
+            self._scaling_array = arr
         return arr
 
     def frobenius_matrix(self, j: int) -> tuple:

@@ -46,7 +46,8 @@ from .errors import (ContextMismatch, NotInRing, PrecisionExhausted,
                      StreamsAgree)
 from .ffield import FieldContext, FieldElement
 from .poly import EXPONENT_LIMIT, MultiPoly, RationalFn
-from .series import TruncatedSeries, _rows, substitute_series
+from .series import (TruncatedSeries, _Powers, _scale, _scalings,
+                     substitute_series)
 from .streams import DEFAULT_PRECISION_CAP, SeriesStream, t_stream
 
 INFINITY = float("inf")
@@ -71,7 +72,10 @@ class EmbeddingValuation:
     Realized stream prefixes are cached, except that of t, which costs
     nothing to build; the cache only ever grows, and extensions are
     serialized by a lock so concurrent readers always see a consistent
-    prefix.
+    prefix.  Each image other than t also keeps a _Powers memo of its
+    powers for the valuation's life, bounded by series.MEMO_ROWS; the
+    series images() hands out carry it, so every certification on this
+    valuation shares it.
     """
 
     def __init__(self, ctx: FieldContext, streams,
@@ -103,6 +107,7 @@ class EmbeddingValuation:
                     f"stream {s.label!r} has no nonzero coefficient below "
                     f"the cap {precision_cap}; refusing a zero image")
         self._orders = tuple(orders)  # exact t-adic orders of the images
+        self._powers = [_Powers(ctx, k) for k in orders[1:]]
 
     # -- stream realization --------------------------------------------------
 
@@ -140,13 +145,18 @@ class EmbeddingValuation:
 
     def images(self, precision: int) -> list:
         """Stream images at the given precision: t, built on demand, then
-        the realized prefixes of the other streams."""
+        the realized prefixes of the other streams, each carrying its
+        image's power memo."""
         t = np.zeros((precision, self.ctx.m), dtype=np.int64)
         if precision > 1:
             t[1, 0] = 1
-        return [TruncatedSeries(self.ctx, t)] + [
-            TruncatedSeries(self.ctx, self._prefix(i, precision)[:precision])
-            for i in range(1, self.nvars)]
+        out = [TruncatedSeries(self.ctx, t)]
+        for i, powers in enumerate(self._powers, 1):
+            s = TruncatedSeries(self.ctx,
+                                self._prefix(i, precision)[:precision])
+            s.powers = powers
+            out.append(s)
+        return out
 
     # -- valuation -----------------------------------------------------------
 
@@ -296,7 +306,6 @@ class _Sparse:
     def __init__(self, ctx: FieldContext, budget: int):
         self.ctx = ctx
         self.left = budget
-        self.scalings: dict = {}
 
     def _charge(self, products: int):
         self.left -= products
@@ -310,14 +319,10 @@ class _Sparse:
         return (np.array(exps, dtype=np.int64),
                 np.array(rows, dtype=np.int64).reshape(-1, self.ctx.m))
 
-    def _scale(self, rows: np.ndarray, c: tuple) -> np.ndarray:
-        """Each row times the field element with residues c."""
-        ctx = self.ctx
-        if ctx.m == 1:
-            return rows * c[0] % ctx.p
-        if c not in self.scalings:
-            self.scalings[c] = _rows(FieldElement(ctx, c), ctx.generator())
-        return rows @ self.scalings[c] % ctx.p
+    def _scale(self, rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+        """Each row times the field element with that matrix (see
+        series._scalings), reduced."""
+        return _scale(rows, matrix) % self.ctx.p
 
     def _collect(self, exps: list, rows: list):
         """The sum of the given terms, without zero rows."""
@@ -338,10 +343,10 @@ class _Sparse:
         lims = np.searchsorted(be, n - ae).tolist()
         self._charge(sum(lims))
         exps, rows = [], []
-        for i, row, lim in zip(ae.tolist(), ar.tolist(), lims):
+        for i, matrix, lim in zip(ae.tolist(), _scalings(self.ctx, ar), lims):
             if lim:
                 exps.append(be[:lim] + i)
-                rows.append(self._scale(br[:lim], tuple(row)))
+                rows.append(self._scale(br[:lim], matrix))
         return self._collect(exps, rows)
 
     def power(self, y, k: int, n: int, memo: dict):
@@ -393,10 +398,11 @@ class _Sparse:
                 if e and prod[0].size:
                     prod = self.mul(prod, self.power(y, e, need, memo), need)
             self._charge(prod[0].size * len(group))
-            for a, c in group:
+            matrices = _scalings(self.ctx, [c.coeffs for _, c in group])
+            for (a, _), matrix in zip(group, matrices):
                 cut = np.searchsorted(prod[0], n - a)
                 exps.append(prod[0][:cut] + a)
-                rows.append(self._scale(prod[1][:cut], c.coeffs))
+                rows.append(self._scale(prod[1][:cut], matrix))
         return self._collect(exps, rows)
 
 

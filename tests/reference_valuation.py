@@ -2,10 +2,12 @@
 
 `certify` is the certification loop EmbeddingValuation used before it
 started above the term-order lower bound: substitute at the start
-precision and at every doubling up to the cap.  The differential tests
-check that EmbeddingValuation agrees with it exactly, certificates and
-errors alike, below the cap, and on values and leading coefficients past
-it, where the reference is run at a larger cap.
+precision and at every doubling up to the cap.  It substitutes on copies
+of the images without their power memos, so every substitution computes
+its own powers.  The differential tests check that EmbeddingValuation
+agrees with it exactly, certificates and errors alike, below the cap, and
+on values and leading coefficients past it, where the reference is run at
+a larger cap.
 
 `realize` and `first_difference` ask a stream's oracle at every index, as
 the engine did before streams knew their support.
@@ -17,7 +19,7 @@ import numpy as np
 
 from charp.errors import NotInRing, PrecisionExhausted, StreamsAgree
 from charp.poly import MultiPoly
-from charp.series import substitute_series
+from charp.series import TruncatedSeries, substitute_series
 from charp.valuation import EmbeddingValuation
 
 
@@ -25,7 +27,7 @@ def certify(V: EmbeddingValuation, f: MultiPoly):
     """(order, certified precision, image) with order < precision."""
     n = V.start_precision
     while True:
-        image = substitute_series(f, V.images(n), n)
+        image = substitute_series(f, images(V, n), n)
         v = image.order()
         if v is not None:
             return v, n, image
@@ -34,6 +36,11 @@ def certify(V: EmbeddingValuation, f: MultiPoly):
                 f"image of {f} vanishes modulo t^{n}; the series images "
                 "may satisfy an algebraic relation", n)
         n = min(2 * n, V.precision_cap)
+
+
+def images(V: EmbeddingValuation, n: int):
+    """V.images(n) without their power memos."""
+    return [TruncatedSeries(s.ctx, s.coeffs) for s in V.images(n)]
 
 
 def residue(V: EmbeddingValuation, r):

@@ -3,12 +3,17 @@ rung: starting above the term-order lower bound changes no certificate,
 no residue and no error.  Past the cap, where the reference raises, the
 support walk must agree with the reference run at the precision the walk
 saw: the same value and leading coefficient where the walk certifies, the
-same exhaustion where it raises."""
+same exhaustion where it raises.  The reference substitutes without the
+valuation's power memos, so one valuation answering a sequence of
+polynomials checks that its memos never go stale."""
+
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import charp.series
 import charp.valuation
 from charp.errors import CharpError, PrecisionExhausted
 from charp.ffield import make_context
@@ -120,6 +125,19 @@ def at_cap(V, cap):
     return EmbeddingValuation(V.ctx, V.streams[1:], precision_cap=cap)
 
 
+def check_certify(V, f):
+    """V._certify against the reference ladder, or past the cap against
+    the reference at the precision the walk saw."""
+    want = outcome(certify, V, f)
+    if want[0] is PrecisionExhausted and walks(V):
+        check_walk(V, f)
+    elif failed(want):
+        assert outcome(V._certify, f) == want
+    else:
+        assert outcome(V._certify, f) == \
+            (want[0], want[1], want[2].element_at(want[0]))
+
+
 def check_walk(V, f):
     """V._certify against the reference at the precision the walk saw."""
     got = outcome(V._certify, f)
@@ -161,14 +179,7 @@ def test_certify_matches_reference(case, data):
             not any(s.coefficient(i) for i in range(cap)) for s in streams)
         return
     f = data.draw(polynomial(V))
-    want = outcome(certify, V, f)
-    if want[0] is PrecisionExhausted and walks(V):
-        check_walk(V, f)
-    elif failed(want):
-        assert outcome(V._certify, f) == want
-    else:
-        assert outcome(V._certify, f) == \
-            (want[0], want[1], want[2].element_at(want[0]))
+    check_certify(V, f)
     g = data.draw(polynomial(V))
     if g:
         check_residue(V, RationalFn(f, g))
@@ -214,6 +225,108 @@ def test_walk_matches_reference_past_the_cap(case, data):
     g = data.draw(deep_polynomial(V))
     if f and g:
         check_residue(V, RationalFn(f, g))
+
+
+@st.composite
+def ranged_polynomial(draw, V, high):
+    """x^s * A^r plus terms of x-degree at least s, with A an approximant
+    of y's image to at most 12 indices, so the value is at least s: s is
+    at most 6 for a low value and in the hundreds for a high one."""
+    ctx, nvars = V.ctx, V.nvars
+    s = draw(st.integers(100, 700) if high else st.integers(0, 6))
+    x = MultiPoly.variable(ctx, nvars, 0)
+    approx = MultiPoly.variable(ctx, nvars, 1)
+    for i in range(draw(st.integers(0, 12))):
+        approx = approx - MultiPoly.monomial(
+            ctx, nvars, (i,) + (0,) * (nvars - 1),
+            V.streams[1].coefficient(i))
+    f = MultiPoly.const(ctx, nvars, draw(element(ctx, nonzero=True))) * \
+        x ** s * approx ** draw(st.integers(1, 2))
+    for _ in range(draw(st.integers(0, 3))):
+        exp = (s + draw(st.integers(0, 6)),) + tuple(
+            draw(st.integers(0, 6)) for _ in range(nvars - 1))
+        f = f + MultiPoly.monomial(ctx, nvars, exp, draw(element(ctx)))
+    return f
+
+
+@st.composite
+def memo_cases(draw):
+    """A valuation with a gap, perturbed or from-seed image and an image of
+    order 17, in either order, and 3 to 6 polynomials or fractions whose
+    values go low, high, then low again, so precisions rise and fall.  A
+    drawn term can cancel the leading one, so denominators are drawn
+    nonzero."""
+    ctx = make_context(draw(st.sampled_from((2, 3, 5, 1048573))),
+                       draw(st.integers(1, 3)))
+    images = [draw(stream(ctx)), geometric_gap(ctx, 17)]
+    V = EmbeddingValuation(ctx, draw(st.permutations(images)),
+                           precision_cap=1024)
+    highs = [False, True, False] + draw(st.lists(st.booleans(), max_size=3))
+    items = []
+    for high in highs:
+        f = draw(ranged_polynomial(V, high))
+        if draw(st.booleans()):
+            f = RationalFn(f, draw(ranged_polynomial(
+                V, draw(st.booleans())).filter(bool)))
+        items.append(f)
+    return V, items
+
+
+def answers(V, items):
+    """The _certify outcome of each polynomial, the residue outcome of
+    each fraction."""
+    return [outcome(V.residue, f) if isinstance(f, RationalFn)
+            else outcome(V._certify, f) for f in items]
+
+
+@settings(max_examples=40, deadline=None)
+@given(memo_cases())
+def test_one_valuation_matches_reference_on_a_sequence(case):
+    """One valuation keeps its power memos across the whole sequence; each
+    answer equals the reference's, which substitutes without them."""
+    V, items = case
+    for f in items:
+        if isinstance(f, RationalFn):
+            check_residue(V, f)
+        else:
+            check_certify(V, f)
+
+
+@settings(max_examples=20, deadline=None)
+@given(memo_cases())
+def test_reducing_after_every_term_changes_no_answer(case):
+    """A substitution that reduces its sum after every term answers as one
+    that reduces it once."""
+    V, items = case
+    fresh = EmbeddingValuation(V.ctx, V.streams[1:], V.precision_cap)
+    with mock.patch.object(charp.series, "_unreduced_terms",
+                           lambda ctx: 1):
+        got = answers(V, items)
+    assert got == answers(fresh, items)
+
+
+def test_memo_stays_bounded():
+    """Many distinct exponents at cap 4096 pass MEMO_ROWS within one
+    substitution; once it is done, the memo is emptied back under the
+    bound, and the answers are the reference's."""
+    ctx = make_context(1048573)
+    V = EmbeddingValuation(ctx, [geometric_gap(ctx, 3)], precision_cap=4096)
+    memo = V._powers[0]
+    before_trim = []
+    trim = charp.series._Powers.trim
+
+    def recording(self):
+        before_trim.append(self.rows)
+        trim(self)
+
+    with mock.patch.object(charp.series._Powers, "trim", recording):
+        for k in range(56, 65):
+            f = parse_poly(f"(y-x^3)^{k}", ctx, 2)
+            got = V._certify(f)
+            assert memo.rows <= charp.series.MEMO_ROWS
+            want = certify(V, f)
+            assert got == (9 * k, want[1], want[2].element_at(9 * k))
+    assert max(before_trim) > charp.series.MEMO_ROWS
 
 
 def counted_substitutions(monkeypatch):

@@ -1,4 +1,5 @@
 import random
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -236,6 +237,30 @@ class TestConcurrency:
             results = list(pool.map(job, range(16)))
         assert len(set(results)) == 1
         assert results[0][0] == 120
+
+    def test_threads_sharing_power_memos_agree_with_a_sequential_run(self):
+        """Eight threads on one fresh valuation, whose power memos they
+        share, certifying at precisions from 16 to 4096, with thread
+        switches forced often: every answer is the sequential one."""
+        ctx = make_context(1048573, 2)
+        streams = [lacunary(ctx), from_seed(ctx, 7)]
+        polys = [parse_poly(f"x^{s}*(y-x-x^2)^{r}+x^{s + 7}*z^{k}", ctx, 3)
+                 for s in (0, 40, 300, 1000, 2500, 3500)
+                 for r, k in ((1, 2), (2, 1), (3, 3))]
+        sequential = EmbeddingValuation(ctx, streams, precision_cap=4096)
+        want = [sequential.valuate_with_certificate(f) for f in polys]
+        assert {n for _, n in want} >= {16, 4096}
+        V = EmbeddingValuation(ctx, streams, precision_cap=4096)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(V.valuate_with_certificate, f)
+                           for f in polys * 2]
+                got = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want * 2
 
 
 def catalog_and_perturbations(ctx):
