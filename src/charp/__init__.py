@@ -8,7 +8,9 @@ certified precision, and evidence-backed excellence reports.
 
 The series and valuation layers need numpy; they, and the names below that
 live in them, are imported on first access, so that work without power
-series never loads numpy.
+series never loads numpy.  Comparing two streams (`first_difference`,
+`distinguishing_fraction`) reads only their coefficients, so those names
+come from the streams layer and load no numpy.
 """
 
 import importlib
@@ -26,7 +28,8 @@ from .frobenius import (FrobDecomposition, decompose, free_basis,
                         frobenius_image, is_pe_power, recompose)
 from .cartier import (CartierMap, canonical_splitting, check_compatible,
                       check_linearity, compose, is_splitting, trace_project)
-from .streams import (SeriesStream, builtin_streams, from_seed,
+from .streams import (SeriesStream, builtin_streams,
+                      distinguishing_fraction, first_difference, from_seed,
                       geometric_gap, lacunary, lacunary_shift,
                       parse_stream_spec, perturb, t_stream)
 from .excellence import (ExcellenceReport, IMPLICATIONS, THEOREMS, dvr_report,
@@ -38,7 +41,6 @@ __version__ = "0.1.0"
 _LAZY = {
     "TruncatedSeries": "series", "substitute_series": "series",
     "EmbeddingValuation": "valuation", "INFINITY": "valuation",
-    "distinguishing_fraction": "valuation", "first_difference": "valuation",
     "order": "valuation",
 }
 _LAZY_MODULES = ("series", "valuation", "_kernels")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 
@@ -25,7 +26,8 @@ from .frobenius import recompose
 from .parser import parse_poly, parse_rational
 from .poly import (MonomialIdeal, MultiPoly, format_monomial, format_poly,
                    random_poly)
-from .streams import DEFAULT_PRECISION_CAP, parse_stream_spec
+from .streams import (DEFAULT_PRECISION_CAP, distinguishing_fraction,
+                      fraction_construction_string, parse_stream_spec)
 
 USAGE_ERRORS = (NotPrime, DegreeTooLarge, PolySyntaxError, ContextMismatch,
                 PrecisionMismatch, ValueError)
@@ -256,12 +258,12 @@ def _val(args, ctx):
 
 
 def _distinguish(args, ctx):
-    from .valuation import (EmbeddingValuation, distinguishing_fraction,
-                            fraction_construction_string)
     stream_a = parse_stream_spec(args.stream_a, ctx)
     stream_b = parse_stream_spec(args.stream_b, ctx)
+    # agreeing streams raise StreamsAgree here, before numpy is loaded
     i, frac = distinguishing_fraction(stream_a, stream_b,
                                       cap=args.precision_cap)
+    from .valuation import EmbeddingValuation
     V_a, V_b = (EmbeddingValuation(ctx, [s], precision_cap=args.precision_cap)
                 for s in (stream_a, stream_b))
     return {
@@ -322,6 +324,10 @@ def _selftest(args, ctx):
 
 
 def main(argv=None) -> int:
+    # charp's arrays are int64, which numpy never hands to BLAS, so the
+    # thread pool OpenBLAS starts when numpy loads would only cost start-up
+    # time; a value the user set is kept
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:

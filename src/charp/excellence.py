@@ -23,8 +23,9 @@ from .ffield import FieldElement, make_context
 from .frobenius import free_basis
 from .poly import (MultiPoly, RationalFn, format_monomial, format_poly,
                    random_nonzero_poly, var_names)
+from .streams import distinguishing_fraction, fraction_construction_string
 
-if TYPE_CHECKING:  # valuation loads numpy; dvr_report imports it when run
+if TYPE_CHECKING:  # valuation loads numpy; dvr_report is handed one
     from .valuation import EmbeddingValuation
 
 THEOREMS = {
@@ -181,8 +182,6 @@ def dvr_report(valuation: EmbeddingValuation, versus=None, samples: int = 50,
     needs at least 2 variables and every image after t assumed
     transcendental; otherwise this raises ValueError.
     """
-    from .valuation import (distinguishing_fraction,
-                            fraction_construction_string)
     ctx = valuation.ctx
     n = valuation.nvars
     if samples < 1:

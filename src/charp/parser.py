@@ -15,7 +15,9 @@ coefficient when the context has m > 1.
 A power is expanded only when the term products it may take fit a budget,
 bounded before expanding; past it the exponent is a syntax error.  A
 product of two factors with a and b terms takes a * b term products and is
-held to the same budget; past it the `*` is a syntax error.
+held to the same budget; past it the `*` is a syntax error.  The budget is
+one for the whole parse, so a sum of pieces that each fit cannot add up
+past it either: the piece that would overrun it is the error.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from .errors import PolySyntaxError
 from .ffield import FieldContext
 from .poly import EXPONENT_LIMIT, MultiPoly, RationalFn, var_names
 
-# Term products one power, or one product, may take: about a second of
-# parsing at p = 1048573 on a 2-core x86 machine.
+# Term products one parse may take, over all its powers and products:
+# about a second of parsing at p = 1048573 on a 2-core x86 machine.
 POWER_BUDGET = 200_000
 
 
@@ -110,11 +112,25 @@ class _Tokenizer:
 
 
 class _Parser:
-    def __init__(self, text: str, ctx: FieldContext, nvars: int):
+    def __init__(self, text: str, ctx: FieldContext, nvars: int,
+                 budget: int | None = None):
         self.toks = _Tokenizer(text)
         self.ctx = ctx
         self.nvars = nvars
         self.names = {name: i for i, name in enumerate(var_names(nvars))}
+        # term products this parse may still take
+        self.budget = POWER_BUDGET if budget is None else budget
+
+    def _charge(self, products: int, pos: int, too_big: str):
+        """Take `products` from the budget for the piece at `pos`; a piece
+        over the whole budget on its own is refused as `too_big`."""
+        if products > POWER_BUDGET:
+            raise PolySyntaxError(too_big, pos)
+        if products > self.budget:
+            raise PolySyntaxError(
+                f"parse takes more than {POWER_BUDGET} term products in all",
+                pos)
+        self.budget -= products
 
     def parse(self) -> MultiPoly:
         result = self._expr()
@@ -141,10 +157,9 @@ class _Parser:
         while self.toks.peek()[0] == "*":
             pos = self.toks.advance()[2]
             factor = self._unary()
-            if len(result.terms) * len(factor.terms) > POWER_BUDGET:
-                raise PolySyntaxError(
-                    f"product takes more than {POWER_BUDGET} term products",
-                    pos)
+            self._charge(len(result.terms) * len(factor.terms), pos,
+                         f"product takes more than {POWER_BUDGET} term "
+                         "products")
             result = result * factor
         return result
 
@@ -164,12 +179,10 @@ class _Parser:
             k = int(text)
             if k > EXPONENT_LIMIT:
                 raise PolySyntaxError("exponent exceeds 32-bit bound", pos)
-            products = _power_products(max(len(base.terms), 1), k,
-                                       self.ctx.p)
-            if products > POWER_BUDGET:
-                raise PolySyntaxError(
-                    f"power may take more than {POWER_BUDGET} term "
-                    "products to expand", pos)
+            self._charge(_power_products(max(len(base.terms), 1), k,
+                                         self.ctx.p), pos,
+                         f"power may take more than {POWER_BUDGET} term "
+                         "products to expand")
             return base ** k
         return base
 
@@ -200,7 +213,8 @@ def parse_poly(text: str, ctx: FieldContext, nvars: int) -> MultiPoly:
 
 
 def parse_rational(text: str, ctx: FieldContext, nvars: int) -> RationalFn:
-    """Parse `num/den` (split at the single top-level '/'), or a bare polynomial."""
+    """Parse `num/den` (split at the single top-level '/'), or a bare
+    polynomial; numerator and denominator share one budget."""
     depth = 0
     split = None
     for i, ch in enumerate(text):
@@ -214,8 +228,10 @@ def parse_rational(text: str, ctx: FieldContext, nvars: int) -> RationalFn:
             split = i
     if split is None:
         return RationalFn.from_poly(parse_poly(text, ctx, nvars))
-    num = parse_poly(text[:split], ctx, nvars)
-    den = parse_poly(text[split + 1:], ctx, nvars)
+    numerator = _Parser(text[:split], ctx, nvars)
+    num = numerator.parse()
+    # the denominator spends what the numerator left of the budget
+    den = _Parser(text[split + 1:], ctx, nvars, numerator.budget).parse()
     if den.is_zero:
         raise PolySyntaxError("zero denominator", split + 1)
     return RationalFn(num, den)

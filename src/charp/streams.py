@@ -18,16 +18,22 @@ their exponents directly, `perturb` merges its index into its base's
 support, and `from-seed` and `t` have none (`support` is None).  The
 valuation engine realizes a stream with a support only at its support
 indices, and walks the support to certify values past the precision cap.
+
+Two streams are compared here too, from their coefficients alone:
+`first_difference` finds the first index where they disagree, and
+`distinguishing_fraction` builds the fraction that separates their
+embedding valuations (see valuation).  Nothing in this module needs numpy,
+so `dvr distinguish` on agreeing streams never loads it.
 """
 
 from __future__ import annotations
 
-import hashlib
 from heapq import merge
 from itertools import takewhile
 
-from .errors import PolySyntaxError
+from .errors import ContextMismatch, PolySyntaxError, StreamsAgree
 from .ffield import FieldContext, FieldElement
+from .poly import MultiPoly, RationalFn
 
 # Longest stream prefix a valuation realizes unless told otherwise.
 DEFAULT_PRECISION_CAP = 4096
@@ -142,6 +148,7 @@ def from_seed(ctx: FieldContext, seed: int) -> SeriesStream:
     reproducible across processes; the constant coefficient is forced to 0.
     The hash of the text before n is taken once and copied per index.
     """
+    import hashlib  # only seeded streams hash, so only they load it
     p, m = ctx.p, ctx.m
     prefix = hashlib.sha256(f"charp-stream:{seed}:".encode())
 
@@ -257,3 +264,66 @@ def parse_stream_spec(text: str, ctx: FieldContext) -> SeriesStream:
     for k, coeff in reversed(perturbations):
         stream = perturb(stream, k, ctx.elem(coeff))
     return stream
+
+
+def first_difference(stream_a: SeriesStream, stream_b: SeriesStream,
+                     cap: int = DEFAULT_PRECISION_CAP) -> int:
+    """Smallest index where the two streams disagree; StreamsAgree if none
+    exists below the cap.  Where both streams have a support, only indices
+    in one of them are compared: elsewhere both coefficients are 0."""
+    if stream_a.ctx is not stream_b.ctx:
+        raise ContextMismatch("streams over different fields")
+    indices = range(cap)
+    if stream_a.support is not None and stream_b.support is not None:
+        indices = sorted({*stream_a.indices(0, cap),
+                          *stream_b.indices(0, cap)})
+    for n in indices:
+        if stream_a.coefficient(n) != stream_b.coefficient(n):
+            return n
+    raise StreamsAgree(
+        f"streams {stream_a.label!r} and {stream_b.label!r} agree below "
+        f"index {cap}")
+
+
+def distinguishing_fraction(stream_a: SeriesStream, stream_b: SeriesStream,
+                            cap: int = DEFAULT_PRECISION_CAP):
+    """(i, fraction) separating the two embedding valuations.
+
+    i is the first index where the streams differ and the fraction is
+    x^i / (y - (a_0 + a_1 x + ... + a_i x^i)) with a_n taken from stream_a;
+    it lies in the valuation ring of stream_b but not in that of stream_a.
+    """
+    ctx = stream_a.ctx
+    i = first_difference(stream_a, stream_b, cap)
+    num = MultiPoly.monomial(ctx, 2, (i, 0))
+    den = MultiPoly.variable(ctx, 2, 1)
+    for n in stream_a.indices(0, i + 1):
+        a_n = stream_a.coefficient(n)
+        if a_n:
+            den = den - MultiPoly.monomial(ctx, 2, (n, 0), a_n)
+    return i, RationalFn(num, den)
+
+
+def fraction_construction_string(stream_a: SeriesStream, i: int) -> str:
+    """Human-oriented rendering x^i/(y-a_0-a_1*x-...) of the separating
+    fraction, written as constructed rather than in canonical term order."""
+    pieces = ["y"]
+    for n in stream_a.indices(0, i + 1):
+        a_n = stream_a.coefficient(n)
+        if not a_n:
+            continue
+        cstr = str(a_n)
+        if n == 0:
+            mono = cstr
+        else:
+            xpart = "x" if n == 1 else f"x^{n}"
+            if cstr == "1":
+                mono = xpart
+            elif "+" in cstr:
+                mono = f"({cstr})*{xpart}"
+            else:
+                mono = f"{cstr}*{xpart}"
+        pieces.append(mono)
+    den = "-".join(pieces)
+    numstr = "1" if i == 0 else ("x" if i == 1 else f"x^{i}")
+    return f"{numstr}/({den})" if len(pieces) > 1 else f"{numstr}/{den}"

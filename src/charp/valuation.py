@@ -32,7 +32,10 @@ Two embeddings are told apart constructively: if the image series first
 differ at coefficient index i, the fraction x^i / (y - (a_0 + a_1 x + ...
 + a_i x^i)) built from the first stream's coefficients has nonnegative
 value in the second ring and negative value in the first, so it lies in
-exactly one of them.
+exactly one of them.  Finding i and building that fraction reads only
+stream coefficients, so it lives in streams (first_difference,
+distinguishing_fraction), and this module re-exports it; only checking
+which ring holds the fraction needs a valuation.
 """
 
 from __future__ import annotations
@@ -42,13 +45,16 @@ from operator import mul
 
 import numpy as np
 
-from .errors import (ContextMismatch, NotInRing, PrecisionExhausted,
-                     StreamsAgree)
+from .errors import ContextMismatch, NotInRing, PrecisionExhausted
 from .ffield import FieldContext, FieldElement
 from .poly import EXPONENT_LIMIT, MultiPoly, RationalFn
 from .series import (TruncatedSeries, _Powers, _scale, _scalings,
                      substitute_series)
 from .streams import DEFAULT_PRECISION_CAP, SeriesStream, t_stream
+# stream comparison needs no series; it lives in streams, and is also
+# importable from here
+from .streams import (distinguishing_fraction, first_difference,
+                      fraction_construction_string)
 
 INFINITY = float("inf")
 
@@ -404,66 +410,3 @@ class _Sparse:
                 exps.append(prod[0][:cut] + a)
                 rows.append(self._scale(prod[1][:cut], matrix))
         return self._collect(exps, rows)
-
-
-def first_difference(stream_a: SeriesStream, stream_b: SeriesStream,
-                     cap: int = DEFAULT_PRECISION_CAP) -> int:
-    """Smallest index where the two streams disagree; StreamsAgree if none
-    exists below the cap.  Where both streams have a support, only indices
-    in one of them are compared: elsewhere both coefficients are 0."""
-    if stream_a.ctx is not stream_b.ctx:
-        raise ContextMismatch("streams over different fields")
-    indices = range(cap)
-    if stream_a.support is not None and stream_b.support is not None:
-        indices = sorted({*stream_a.indices(0, cap),
-                          *stream_b.indices(0, cap)})
-    for n in indices:
-        if stream_a.coefficient(n) != stream_b.coefficient(n):
-            return n
-    raise StreamsAgree(
-        f"streams {stream_a.label!r} and {stream_b.label!r} agree below "
-        f"index {cap}")
-
-
-def distinguishing_fraction(stream_a: SeriesStream, stream_b: SeriesStream,
-                            cap: int = DEFAULT_PRECISION_CAP):
-    """(i, fraction) separating the two embedding valuations.
-
-    i is the first index where the streams differ and the fraction is
-    x^i / (y - (a_0 + a_1 x + ... + a_i x^i)) with a_n taken from stream_a;
-    it lies in the valuation ring of stream_b but not in that of stream_a.
-    """
-    ctx = stream_a.ctx
-    i = first_difference(stream_a, stream_b, cap)
-    num = MultiPoly.monomial(ctx, 2, (i, 0))
-    den = MultiPoly.variable(ctx, 2, 1)
-    for n in stream_a.indices(0, i + 1):
-        a_n = stream_a.coefficient(n)
-        if a_n:
-            den = den - MultiPoly.monomial(ctx, 2, (n, 0), a_n)
-    return i, RationalFn(num, den)
-
-
-def fraction_construction_string(stream_a: SeriesStream, i: int) -> str:
-    """Human-oriented rendering x^i/(y-a_0-a_1*x-...) of the separating
-    fraction, written as constructed rather than in canonical term order."""
-    pieces = ["y"]
-    for n in stream_a.indices(0, i + 1):
-        a_n = stream_a.coefficient(n)
-        if not a_n:
-            continue
-        cstr = str(a_n)
-        if n == 0:
-            mono = cstr
-        else:
-            xpart = "x" if n == 1 else f"x^{n}"
-            if cstr == "1":
-                mono = xpart
-            elif "+" in cstr:
-                mono = f"({cstr})*{xpart}"
-            else:
-                mono = f"{cstr}*{xpart}"
-        pieces.append(mono)
-    den = "-".join(pieces)
-    numstr = "1" if i == 0 else ("x" if i == 1 else f"x^{i}")
-    return f"{numstr}/({den})" if len(pieces) > 1 else f"{numstr}/{den}"

@@ -1,7 +1,11 @@
 import argparse
 import io
 import json
+import os
 import shlex
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -10,7 +14,8 @@ from charp import cli, errors
 from charp.cli import build_parser, main
 from charp.valuation import WALK_BUDGET, _Sparse
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 GOLDEN = [
     ("decompose --p 2 --vars 2 --e 1 'x^2+y^2+x'",
@@ -85,6 +90,32 @@ class TestGolden:
             assert code == 0, f"README example failed: charp {cmd}"
             assert captured.out == expected + "\n", \
                 f"README output drifted for: charp {cmd}"
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("cmdline", [
+        "val --p 3 --m 2 --stream 'geometric-gap(5)' '(y-x^5)^3/(x*y+x^2)'",
+        "dvr distinguish --p 5 --m 2 --stream-a 'from-seed(3)' "
+        "--stream-b 'from-seed(3)+2*t^40'",
+        "report dvr --p 2 --stream lacunary --versus lacunary+t^3 "
+        "--samples 5",
+    ])
+    def test_output_does_not_depend_on_blas_threads(self, cmdline):
+        """The CLI runs OpenBLAS on one thread unless told otherwise; two
+        threads print the same bytes."""
+        outputs = []
+        for threads in (None, "2"):
+            env = {k: v for k, v in os.environ.items()
+                   if k != "OPENBLAS_NUM_THREADS"}
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            proc = subprocess.run(
+                [sys.executable, "-m", "charp.cli", *shlex.split(cmdline)],
+                env=env, capture_output=True, timeout=120, check=True)
+            outputs.append(proc.stdout)
+        assert outputs[0] and outputs[0] == outputs[1]
 
 
 class TestExitCodes:
@@ -475,6 +506,22 @@ class TestBehaviors:
             "error": "PolySyntaxError",
             "message": "product takes more than 200000 term products "
                        "(at position 12)"}
+
+    def test_sum_past_the_budget_is_a_usage_error(self, capsys):
+        # each product is within budget alone; the first one already takes
+        # 61535 + 104151 + 400 * 500 term products with its two powers
+        start = time.process_time()
+        code, out, err = run_cli(
+            capsys, "val --p 1048573 "
+            "'(x+1)^399*(y+1)^499+(x+1)^399*(y+1)^498+(x+1)^398*(y+1)^499'")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "PolySyntaxError",
+            "message": "parse takes more than 200000 term products in all "
+                       "(at position 9)"}
+        # it parsed for 5.4 s of CPU while each piece had its own budget
+        assert time.process_time() - start < 3
 
 
 class TestPastTheCap:

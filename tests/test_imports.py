@@ -1,4 +1,6 @@
-"""numpy and the series layers load only for work that needs a series.
+"""A CLI process loads only what its command runs: numpy and the series
+layers for work that needs a series, hashlib for seeded streams, and
+OpenBLAS on one thread unless told otherwise.
 
 Each case runs in a fresh interpreter, since this process has long since
 imported everything.
@@ -16,22 +18,33 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 NUMPY_BACKED = ("numpy", "charp.series", "charp.valuation", "charp._kernels")
 
 
-def loaded_after(code):
-    """The NUMPY_BACKED modules loaded after running `code`."""
-    probe = (f"import json, sys\n{code}\n"
-             f"print(json.dumps([m for m in {NUMPY_BACKED!r} "
-             f"if m in sys.modules]))")
+def value_after(code, expr, **environ):
+    """The JSON value of `expr` after running `code` in a fresh interpreter;
+    each keyword sets an environment variable, or unsets it when None."""
+    probe = f"import json, os, sys\n{code}\nprint(json.dumps({expr}))"
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(
                    filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    for name, value in environ.items():
+        env.pop(name, None)
+        if value is not None:
+            env[name] = value
     proc = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=60,
                           check=True)
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def run_main(argv):
-    return f"from charp.cli import main\nassert main({argv!r}) == 0"
+def loaded_after(code, modules=NUMPY_BACKED):
+    """The `modules` loaded after running `code`."""
+    return value_after(code, f"[m for m in {modules!r} if m in sys.modules]")
+
+
+def run_main(argv, code=0):
+    return f"from charp.cli import main\nassert main({argv!r}) == {code}"
+
+
+VAL = ["val", "--p", "2", "--stream", "lacunary", "y-x-x^2"]
 
 
 @pytest.mark.parametrize("code", [
@@ -43,18 +56,38 @@ def run_main(argv):
     run_main(["selftest", "--trials", "5"]),
     "from charp.ffield import make_context\nctx = make_context(3, 4)\n"
     "ctx.frobenius_matrix(2)\nctx.generator().inverse()",
+    run_main(["dvr", "distinguish", "--p", "3", "--stream-a", "lacunary",
+              "--stream-b", "lacunary+t^5-t^5"], code=1),
+    "import charp\ncharp.first_difference\ncharp.distinguishing_fraction",
 ], ids=["import", "decompose", "cartier-apply", "report-poly-ring",
-        "selftest", "frobenius-matrix-inverse"])
+        "selftest", "frobenius-matrix-inverse", "distinguish-agreeing",
+        "stream-comparison"])
 def test_work_without_series_loads_no_numpy(code):
     assert loaded_after(code) == []
 
 
 @pytest.mark.parametrize("code", [
-    run_main(["val", "--p", "2", "--stream", "lacunary", "y-x-x^2"]),
+    run_main(VAL),
     "import charp\ncharp.EmbeddingValuation",
 ])
 def test_valuations_load_numpy(code):
     assert "numpy" in loaded_after(code)
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["decompose", "--p", "2", "--vars", "2", "--e", "1", "x+y"], []),
+    (VAL, []),
+    (["val", "--p", "2", "--stream", "from-seed(7)", "y-x"], ["hashlib"]),
+])
+def test_only_seeded_streams_load_hashlib(argv, expected):
+    assert loaded_after(run_main(argv), ("hashlib",)) == expected
+
+
+@pytest.mark.parametrize("threads,expected", [(None, "1"), ("3", "3")])
+def test_cli_runs_openblas_on_one_thread_unless_told(threads, expected):
+    got = value_after(run_main(VAL), "os.environ['OPENBLAS_NUM_THREADS']",
+                      OPENBLAS_NUM_THREADS=threads)
+    assert got == expected
 
 
 def test_star_import_binds_every_public_name():
@@ -70,6 +103,8 @@ def test_lazy_names_resolve():
             "assert charp.TruncatedSeries is charp.series.TruncatedSeries\n"
             "assert charp.order is charp.valuation.order\n"
             "assert charp.valuation.DEFAULT_PRECISION_CAP == 4096\n"
+            "assert charp.valuation.first_difference is "
+            "charp.first_difference\n"
             "assert {'EmbeddingValuation', 'series', 'order'} <= "
             "set(dir(charp))\n"
             "assert not hasattr(charp, 'no_such_name')")

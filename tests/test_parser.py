@@ -115,6 +115,49 @@ class TestParse:
             parse_poly("2*x*(x+y+z+1)*(x+y+z+1)", ctx, 3)
         assert exc.value.position == 13
 
+    def test_one_budget_per_parse(self, monkeypatch):
+        """Pieces that each fit are refused once together they take more
+        than the budget; the error points at the piece that ran out."""
+        ctx = make_context(1048573)
+        monkeypatch.setattr(charp.parser, "POWER_BUDGET", 12)
+        # x*y takes 1 term product and (x+y+1)*(x+y+1) takes 9: 10 in all
+        assert parse_poly("x*y+(x+y+1)*(x+y+1)", ctx, 2) == \
+            parse_poly("x*y", ctx, 2) + parse_poly("x+y+1", ctx, 2) ** 2
+        # 4 + 9 at the second '*'; 9 + 2 + 2 and 9 + 7 at the last exponent
+        for text, position in [("x*y*z*x*y+(x+y+1)*(x+y+1)", 17),
+                               ("(x+y+1)*(x+y+1)+x^2*y^2", 22),
+                               ("(x+y+1)*(x+y+1)+(x+y)^2", 22)]:
+            with pytest.raises(PolySyntaxError, match="parse takes more "
+                               "than 12 term products in all") as exc:
+                parse_poly(text, ctx, 3)
+            assert exc.value.position == position
+
+    def test_numerator_and_denominator_share_the_budget(self, monkeypatch):
+        ctx = make_context(1048573)
+        monkeypatch.setattr(charp.parser, "POWER_BUDGET", 12)
+        parse_rational("(x+y+1)*(x+y+1)/(x*y)", ctx, 2)
+        with pytest.raises(PolySyntaxError, match="in all") as exc:
+            parse_rational("(x+y+1)*(x+y+1)/(x*y*y*y*y)", ctx, 2)
+        assert exc.value.position == 8  # the last '*' of the denominator
+
+    def test_a_sum_of_pieces_within_the_budget_is_refused(self, monkeypatch):
+        """Each product fits the budget on its own, and parsed for seconds
+        as a sum; one budget for the parse bounds the work it does."""
+        ctx = make_context(1048573)
+        products = []
+        mul = MultiPoly.__mul__
+
+        def counting(a, b):
+            products.append(len(a.terms) * len(b.terms))
+            return mul(a, b)
+
+        monkeypatch.setattr(MultiPoly, "__mul__", counting)
+        with pytest.raises(PolySyntaxError, match="in all") as exc:
+            parse_poly("(x+1)^399*(y+1)^499+(x+1)^399*(y+1)^498"
+                       "+(x+1)^398*(y+1)^499", ctx, 2)
+        assert exc.value.position == 9
+        assert sum(products) <= charp.parser.POWER_BUDGET
+
 
 class TestFormatRoundTrip:
     def test_round_trip_1000_random(self):
