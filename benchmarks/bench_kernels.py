@@ -49,10 +49,10 @@ def bench_mul(repeats):
         cases.append((2, 1, n, 0.01))
     for p, m, n, density in cases:
         ctx = make_context(p, m)
-        red = ctx.reduction_array
+        table = ctx.scaling_array
         a = _random_series(rng, n, m, p, density)
         b = _random_series(rng, n, m, p, density)
-        elapsed = time_call(series_mul, a, b, red, p, n, repeats=repeats)
+        elapsed = time_call(series_mul, a, b, table, p, n, repeats=repeats)
         kind = "dense" if density == 1.0 else "sparse"
         label = f"mul p={p} m={m} N={n} {kind}"
         print(f"{label:<32}{elapsed * 1e3:>10.2f}ms")

@@ -1,15 +1,19 @@
-"""Dense truncated-series kernels over F_{p^m}.
+"""Row kernels for truncated series over F_{p^m}.
 
 A truncated series is an int64 array of shape (N, m): row i is the residue
-vector of the t^i coefficient.  The product here is the only dense work of
+vector of the t^i coefficient.  Multiplying rows by a field element c goes
+through one (m, m) F_p matrix, the sum of c_j * table[j] with table the
+field's scaling_array (scalings), applied by one product per block of rows
+(scale).  The Frobenius stretch of a series maps each row a to a^p
+(frobenius_rows).  The series product here is the only dense work of
 substitution, which calls it once per nonzero base-p digit of an image
 power and once per further variable of a monomial group, each modulo the
-precision the group's smallest shift leaves (see charp.series).  It is
-plain numpy.  Many factors are sparse: gap-stream images, their powers and
-Frobenius stretches, and scalars.  When one factor has few nonzero rows
-against the other's length, the product adds c * (the other factor),
-shifted i rows down, for each nonzero residue c of each nonzero row i;
-otherwise it takes one np.convolve per pair of residue columns.
+precision the group's smallest shift leaves (see charp.series).  Many
+factors are sparse: gap-stream images, their powers and Frobenius
+stretches, and scalars.  When one factor has few nonzero rows against the
+other's length, the product scales the other factor by each nonzero row
+i, shifted i rows down; otherwise it takes one np.convolve per pair of
+residue columns and reduces the columns past u^(m-1) through the table.
 
 Either way the product accumulates exact integers before one reduction
 pass: entries are < p <= 2^20, so each accumulator cell collects at most
@@ -24,9 +28,30 @@ import numpy as np
 from .errors import SizeBound
 
 
-def series_mul(a, b, red, p, nout):
-    """Truncated product of two coefficient arrays, exact mod p and mu:
-    exact integer products per residue column pair, then one u-reduction."""
+def scalings(table, p, coeffs) -> np.ndarray:
+    """One (m, m) F_p matrix of a -> c * a on residue vectors for each
+    residue vector c among coeffs; table is the field's scaling_array."""
+    m = table.shape[0]
+    c = np.asarray(coeffs, dtype=np.int64).reshape(-1, m)
+    return (c @ table.reshape(m, m * m) % p).reshape(-1, m, m)
+
+
+def scale(rows, matrix) -> np.ndarray:
+    """Residue rows times the field element whose matrix (see scalings)
+    is given, unreduced: for reduced rows every entry is below m*(p-1)^2."""
+    return rows * matrix[0] if matrix.shape[0] == 1 else rows @ matrix
+
+
+def frobenius_rows(ctx, rows) -> np.ndarray:
+    """Each residue row a replaced by a^p, reduced."""
+    if ctx.m == 1:
+        return rows
+    return rows @ np.array(ctx.frobenius_matrix(1), dtype=np.int64) % ctx.p
+
+
+def series_mul(a, b, table, p, nout):
+    """Truncated product of two coefficient arrays, exact mod p and mu;
+    table is the field's scaling_array."""
     m = a.shape[1]
     if nout * p * p * max(m, 1) >= 2 ** 62:
         raise SizeBound(
@@ -36,16 +61,15 @@ def series_mul(a, b, red, p, nout):
     rows_b = np.flatnonzero(b.any(axis=1))
     if rows_a.size > rows_b.size:
         a, b, rows_a = b, a, rows_b
-    wide = np.zeros((nout, 2 * m - 1), dtype=np.int64)
     # a now has the fewer nonzero rows; a row costs a few numpy calls on
     # b's length, which beats convolving once they are few against it
     if 8 * rows_a.size < b.shape[0]:
-        for i in rows_a.tolist():
+        out = np.zeros((nout, m), dtype=np.int64)
+        for i, matrix in zip(rows_a.tolist(), scalings(table, p, a[rows_a])):
             rest = b[:nout - i]
-            for ju, c in enumerate(a[i].tolist()):
-                if c:
-                    wide[i:i + rest.shape[0], ju:ju + m] += c * rest
+            out[i:i + rest.shape[0]] += scale(rest, matrix)
     else:
+        wide = np.zeros((nout, 2 * m - 1), dtype=np.int64)
         for ju in range(m):
             col_a = a[:, ju]
             if not col_a.any():
@@ -56,10 +80,8 @@ def series_mul(a, b, red, p, nout):
                     continue
                 conv = np.convolve(col_a, col_b)[:nout]
                 wide[: conv.shape[0], ju + jv] += conv
-    wide %= p
-    out = wide[:, :m]
-    for ext in range(m - 1):
-        c = wide[:, m + ext]
-        if c.any():
-            out = out + np.outer(c, red[ext])
-    return np.ascontiguousarray(out % p)
+        wide %= p
+        # rows 1.. of table[m-1] are the residue vectors of u^m .. u^(2m-2)
+        out = wide[:, :m] + wide[:, m:] @ table[m - 1, 1:]
+    out %= p
+    return out

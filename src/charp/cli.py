@@ -183,8 +183,7 @@ def _pretty_flat(obj: dict) -> str:
 def _valuation(args, ctx):
     """The EmbeddingValuation x -> t, with one --stream image per further
     variable; lacunary is the default only when exactly one image is
-    needed."""
-    from .valuation import EmbeddingValuation
+    needed.  The specs are parsed before numpy is loaded."""
     if args.vars < 1:
         raise ValueError("--vars must be >= 1")
     count = args.vars - 1
@@ -193,8 +192,9 @@ def _valuation(args, ctx):
         raise ValueError(
             f"--vars {args.vars} needs {count} --stream image(s), "
             f"got {len(specs)}")
-    return EmbeddingValuation(ctx, [parse_stream_spec(s, ctx) for s in specs],
-                              precision_cap=args.precision_cap)
+    streams = [parse_stream_spec(s, ctx) for s in specs]
+    from .valuation import EmbeddingValuation
+    return EmbeddingValuation(ctx, streams, precision_cap=args.precision_cap)
 
 
 def _decompose(args, ctx):
@@ -243,9 +243,9 @@ def _compat(args, ctx):
 def _val(args, ctx):
     if (args.poly is None) == (args.poly_flag is None):
         raise ValueError("give the input either positionally or via --poly")
-    from .valuation import INFINITY
     text = args.poly if args.poly is not None else args.poly_flag
     V = _valuation(args, ctx)
+    from .valuation import INFINITY
     r = parse_rational(_read_poly_arg(text), ctx, args.vars)
     if r.den == MultiPoly.const(ctx, args.vars, 1):
         value, cert = V.valuate_with_certificate(r.num)

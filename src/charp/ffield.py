@@ -164,8 +164,8 @@ def _least_irreducible(p, m):
 class FieldContext:
     """Fixed presentation of F_{p^m}; one instance per (p, m) pair."""
 
-    __slots__ = ("p", "m", "modulus", "reduction", "_reduction_array",
-                 "_scaling_array", "_frobenius", "zero", "one", "_u")
+    __slots__ = ("p", "m", "modulus", "reduction", "_scaling_array",
+                 "_frobenius", "zero", "one", "_u")
 
     def __init__(self, p: int, m: int):
         self.p = p
@@ -178,30 +178,11 @@ class FieldContext:
             vec = vec + [0] * (m - len(vec))
             rows.append(tuple(vec))
         self.reduction = tuple(rows)
-        self._reduction_array = None
         self._frobenius = None
         self.zero = FieldElement(self, (0,) * m)
         self.one = FieldElement(self, (1,) + (0,) * (m - 1))
         self._u = (FieldElement(self, (0, 1) + (0,) * (m - 2))
                    if m >= 2 else None)
-
-    @property
-    def reduction_array(self):
-        """`reduction` as a read-only int64 array of shape
-        (max(m-1, 0), max(m, 1)) for the series kernels.
-
-        Built on first use, so that only series work imports numpy.
-        """
-        arr = self._reduction_array
-        if arr is None:
-            import numpy as np
-            arr = np.zeros((max(self.m - 1, 0), max(self.m, 1)),
-                           dtype=np.int64)
-            for k, row in enumerate(self.reduction):
-                arr[k, :] = row
-            arr.setflags(write=False)
-            self._reduction_array = arr
-        return arr
 
     @property
     def scaling_array(self):
@@ -217,8 +198,9 @@ class FieldContext:
         if arr is None:
             import numpy as np
             m = self.m
-            powers = np.vstack([np.eye(m, dtype=np.int64),
-                                self.reduction_array[:, :m]])
+            powers = np.vstack([
+                np.eye(m, dtype=np.int64),
+                np.array(self.reduction, dtype=np.int64).reshape(-1, m)])
             arr = np.stack([powers[j:j + m] for j in range(m)])
             arr.setflags(write=False)
             self._scaling_array = arr

@@ -11,8 +11,9 @@ product per nonzero base-p digit of k (plus binary powering of the digits).
 Powers are kept in a _Powers memo; a series handed out by
 EmbeddingValuation.images carries the memo of its image, which lives as
 long as the valuation, so a power is computed once per valuation, not once
-per substitution.  Rows are multiplied by a field element through the
-field's scaling_array, and a substitution reduces its sum once.
+per substitution.  Rows are multiplied by a field element and stretched
+by the row kernels of charp._kernels, which the series product uses too,
+and a substitution reduces its sum once.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import threading
 
 import numpy as np
 
-from ._kernels import series_mul
+from ._kernels import frobenius_rows, scale, scalings, series_mul
 from .errors import ContextMismatch, PrecisionMismatch
 from .ffield import FieldContext, FieldElement
 from .poly import MultiPoly
@@ -36,22 +37,8 @@ from .poly import MultiPoly
 MEMO_ROWS = 1 << 14
 
 
-def _scalings(ctx: FieldContext, coeffs) -> np.ndarray:
-    """One (m, m) F_p matrix of a -> c * a on residue vectors for each
-    residue vector c among coeffs, from the field's scaling_array."""
-    m = ctx.m
-    c = np.asarray(coeffs, dtype=np.int64).reshape(-1, m)
-    return (c @ ctx.scaling_array.reshape(m, m * m) % ctx.p).reshape(-1, m, m)
-
-
-def _scale(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """Residue rows times the field element whose matrix (see _scalings)
-    is given, unreduced: for reduced rows every entry is below m*(p-1)^2."""
-    return rows * matrix[0] if matrix.shape[0] == 1 else rows @ matrix
-
-
 def _unreduced_terms(ctx: FieldContext) -> int:
-    """How many scaled rows (see _scale) a sum of reduced rows can take
+    """How many scaled rows (see _kernels.scale) a sum of reduced rows can take
     before it must be reduced to stay below 2^63."""
     return max(1, (2 ** 63 - ctx.p) // (ctx.m * (ctx.p - 1) ** 2))
 
@@ -137,14 +124,13 @@ class TruncatedSeries:
         self._compat(other)
         n = min(self.precision, other.precision)
         out = series_mul(self.coeffs, other.coeffs,
-                         self.ctx.reduction_array, self.ctx.p, n)
+                         self.ctx.scaling_array, self.ctx.p, n)
         return TruncatedSeries(self.ctx, out)
 
     def scale(self, coeff: FieldElement) -> "TruncatedSeries":
-        coeff = self.ctx.elem(coeff)
-        matrix = _scalings(self.ctx, coeff.coeffs)[0]
-        return TruncatedSeries(
-            self.ctx, _scale(self.coeffs, matrix) % self.ctx.p)
+        ctx = self.ctx
+        matrix = scalings(ctx.scaling_array, ctx.p, ctx.elem(coeff).coeffs)[0]
+        return TruncatedSeries(ctx, scale(self.coeffs, matrix) % ctx.p)
 
     def __pow__(self, k: int):
         if k < 0:
@@ -237,17 +223,17 @@ class _Powers:
         entry = self.entries.get(k)
         if entry is not None and entry[0] >= n:
             return _unpack(entry, n, self.ctx.m)
-        p, red = self.ctx.p, self.ctx.reduction_array
+        p, table = self.ctx.p, self.ctx.scaling_array
         if k < p:
             half = self.power(base, k // 2, n)
-            out = series_mul(half, half, red, p, n)
+            out = series_mul(half, half, table, p, n)
             if k & 1:
-                out = series_mul(out, base[:n], red, p, n)
+                out = series_mul(out, base[:n], table, p, n)
         else:
             q, d = divmod(k, p)
             out = self._stretch(self.power(base, q, -(-n // p)), n)
             if d:
-                out = series_mul(self.power(base, d, n), out, red, p, n)
+                out = series_mul(self.power(base, d, n), out, table, p, n)
         out.setflags(write=False)
         self._store(k, out)
         return out
@@ -278,13 +264,8 @@ class _Powers:
     def _stretch(self, s: np.ndarray, n: int) -> np.ndarray:
         """sum a_i t^i -> sum a_i^p t^(ip) modulo t^n, from the first
         ceil(n/p) coefficients."""
-        ctx = self.ctx
-        out = np.zeros((n, ctx.m), dtype=np.int64)
-        if ctx.m == 1:
-            out[::ctx.p] = s
-        else:
-            frobenius = np.array(ctx.frobenius_matrix(1), dtype=np.int64)
-            out[::ctx.p] = s @ frobenius % ctx.p
+        out = np.zeros((n, self.ctx.m), dtype=np.int64)
+        out[::self.ctx.p] = frobenius_rows(self.ctx, s)
         return out
 
 
@@ -341,7 +322,8 @@ def substitute_series(f: MultiPoly, images, precision: int) -> TruncatedSeries:
     powers = [None if is_t else s.powers if s.powers is not None
               else _Powers(ctx, s.order())
               for s, is_t in zip(images, shifts)]
-    matrices = _scalings(ctx, coeffs)
+    table = ctx.scaling_array
+    matrices = scalings(table, p, coeffs)
     limit, pending = _unreduced_terms(ctx), 0
     acc = np.zeros((n, ctx.m), dtype=np.int64)
     for rest, terms in groups.items():
@@ -353,7 +335,7 @@ def substitute_series(f: MultiPoly, images, precision: int) -> TruncatedSeries:
                 if pw is None:
                     break  # the whole group vanishes modulo t^n
                 prod = pw if prod is None else series_mul(
-                    prod, pw, ctx.reduction_array, p, need)
+                    prod, pw, table, p, need)
         else:
             for a, i in terms:
                 if pending == limit:
@@ -362,7 +344,7 @@ def substitute_series(f: MultiPoly, images, precision: int) -> TruncatedSeries:
                 if prod is None:
                     acc[a] += coeffs[i]
                 else:
-                    acc[a:] += _scale(prod[:n - a], matrices[i])
+                    acc[a:] += scale(prod[:n - a], matrices[i])
                 pending += 1
     for memo in powers:
         if memo is not None:

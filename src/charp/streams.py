@@ -33,7 +33,7 @@ from itertools import takewhile
 
 from .errors import ContextMismatch, PolySyntaxError, StreamsAgree
 from .ffield import FieldContext, FieldElement
-from .poly import MultiPoly, RationalFn
+from .poly import MultiPoly, RationalFn, format_monomial, format_poly
 
 # Longest stream prefix a valuation realizes unless told otherwise.
 DEFAULT_PRECISION_CAP = 4096
@@ -41,23 +41,21 @@ DEFAULT_PRECISION_CAP = 4096
 
 class SeriesStream:
     """Deterministic coefficient oracle with a descriptive label, and
-    perhaps a support (see the module docstring)."""
+    perhaps a support (see the module docstring).  Every stream is a
+    non-unit: one with a_0 != 0 is refused."""
 
-    __slots__ = ("ctx", "label", "oracle", "support", "nonunit",
+    __slots__ = ("ctx", "label", "oracle", "support",
                  "transcendental_assumed")
 
     def __init__(self, ctx: FieldContext, label: str, oracle,
-                 nonunit: bool = True, transcendental_assumed: bool = False,
-                 support=None):
+                 transcendental_assumed: bool = False, support=None):
         self.ctx = ctx
         self.label = label
         self.oracle = oracle
         self.support = support
-        self.nonunit = nonunit
         self.transcendental_assumed = transcendental_assumed
-        if nonunit and self.coefficient(0):
-            raise ValueError(
-                f"stream {label!r} flagged non-unit but a_0 != 0")
+        if self.coefficient(0):
+            raise ValueError(f"stream {label!r} is a unit (a_0 != 0)")
 
     def coefficient(self, n: int) -> FieldElement:
         if n < 0:
@@ -82,8 +80,7 @@ def t_stream(ctx: FieldContext) -> SeriesStream:
     def oracle(n):
         return one if n == 1 else zero
 
-    return SeriesStream(ctx, "t", oracle, nonunit=True,
-                        transcendental_assumed=False)
+    return SeriesStream(ctx, "t", oracle)
 
 
 def _exponent_set_stream(ctx, label, exponents):
@@ -95,8 +92,8 @@ def _exponent_set_stream(ctx, label, exponents):
     def oracle(n):
         return one if n >= 1 and next(exponents(n)) == n else zero
 
-    return SeriesStream(ctx, label, oracle, nonunit=True,
-                        transcendental_assumed=True, support=exponents)
+    return SeriesStream(ctx, label, oracle, transcendental_assumed=True,
+                        support=exponents)
 
 
 def _factorials(n: int):
@@ -164,7 +161,7 @@ def from_seed(ctx: FieldContext, seed: int) -> SeriesStream:
             value //= p
         return FieldElement(ctx, tuple(residues))
 
-    return SeriesStream(ctx, f"from-seed({seed})", oracle, nonunit=True,
+    return SeriesStream(ctx, f"from-seed({seed})", oracle,
                         transcendental_assumed=True)
 
 
@@ -190,7 +187,7 @@ def perturb(stream: SeriesStream, k: int, delta: FieldElement) -> SeriesStream:
     sign = "+" if str(delta) == "1" else f"+{delta}*"
     label = f"{stream.label}{sign}t^{k}" if k != 1 else \
         f"{stream.label}{sign}t"
-    return SeriesStream(stream.ctx, label, oracle, nonunit=True,
+    return SeriesStream(stream.ctx, label, oracle,
                         transcendental_assumed=stream.transcendental_assumed,
                         support=None if base_support is None else support)
 
@@ -305,25 +302,12 @@ def distinguishing_fraction(stream_a: SeriesStream, stream_b: SeriesStream,
 
 
 def fraction_construction_string(stream_a: SeriesStream, i: int) -> str:
-    """Human-oriented rendering x^i/(y-a_0-a_1*x-...) of the separating
+    """Human-oriented rendering x^i/(y-a_1*x-...-a_i*x^i) of the separating
     fraction, written as constructed rather than in canonical term order."""
-    pieces = ["y"]
-    for n in stream_a.indices(0, i + 1):
-        a_n = stream_a.coefficient(n)
-        if not a_n:
-            continue
-        cstr = str(a_n)
-        if n == 0:
-            mono = cstr
-        else:
-            xpart = "x" if n == 1 else f"x^{n}"
-            if cstr == "1":
-                mono = xpart
-            elif "+" in cstr:
-                mono = f"({cstr})*{xpart}"
-            else:
-                mono = f"{cstr}*{xpart}"
-        pieces.append(mono)
+    ctx = stream_a.ctx
+    pieces = ["y"] + [format_poly(MultiPoly.monomial(ctx, 1, (n,), a_n))
+                      for n in stream_a.indices(0, i + 1)
+                      if (a_n := stream_a.coefficient(n))]
     den = "-".join(pieces)
-    numstr = "1" if i == 0 else ("x" if i == 1 else f"x^{i}")
-    return f"{numstr}/({den})" if len(pieces) > 1 else f"{numstr}/{den}"
+    num = format_monomial((i,), 1)
+    return f"{num}/({den})" if len(pieces) > 1 else f"{num}/{den}"

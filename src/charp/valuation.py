@@ -45,11 +45,11 @@ from operator import mul
 
 import numpy as np
 
+from ._kernels import frobenius_rows, scale, scalings
 from .errors import ContextMismatch, NotInRing, PrecisionExhausted
 from .ffield import FieldContext, FieldElement
 from .poly import EXPONENT_LIMIT, MultiPoly, RationalFn
-from .series import (TruncatedSeries, _Powers, _scale, _scalings,
-                     substitute_series)
+from .series import TruncatedSeries, _Powers, substitute_series
 from .streams import DEFAULT_PRECISION_CAP, SeriesStream, t_stream
 # stream comparison needs no series; it lives in streams, and is also
 # importable from here
@@ -98,9 +98,6 @@ class EmbeddingValuation:
                 raise TypeError("images must be SeriesStream instances")
             if s.ctx is not ctx:
                 raise ContextMismatch("stream over a different field")
-            if s.coefficient(0):
-                raise ValueError(
-                    f"stream {s.label!r} is a unit (a_0 != 0)")
         self._lock = threading.Lock()
         # realized prefixes of the images of x_2, ..., x_n; t is never stored
         self._realized = [np.zeros((0, ctx.m), dtype=np.int64)
@@ -196,17 +193,11 @@ class EmbeddingValuation:
                 f"image of {f} vanishes modulo t^{last}; the series images "
                 "may satisfy an algebraic relation", last)
         d = max(last, bound) + 1
-        supports = [s.support(0) for s in streams]
-        heads, terms = [], []  # per image: next support index >= d, P_d
-        for s, support in zip(streams, supports):
-            k, P = next(support, INFINITY), {}
-            while k < d:
-                c = s.oracle(k)
-                if c:
-                    P[k] = c
-                k = next(support, INFINITY)
-            heads.append(k)
-            terms.append(P)
+        # per image: P_d, and its support from d on, headed by its next index
+        terms = [{k: c for k in s.indices(0, d) if (c := s.oracle(k))}
+                 for s in streams]
+        supports = [s.support(d) for s in streams]
+        heads = [next(support, INFINITY) for support in supports]
         sparse = _Sparse(self.ctx, WALK_BUDGET)
         while True:
             r = min(heads, default=INFINITY)
@@ -325,11 +316,6 @@ class _Sparse:
         return (np.array(exps, dtype=np.int64),
                 np.array(rows, dtype=np.int64).reshape(-1, self.ctx.m))
 
-    def _scale(self, rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-        """Each row times the field element with that matrix (see
-        series._scalings), reduced."""
-        return _scale(rows, matrix) % self.ctx.p
-
     def _collect(self, exps: list, rows: list):
         """The sum of the given terms, without zero rows."""
         if not exps:
@@ -348,11 +334,13 @@ class _Sparse:
         (ae, ar), (be, br) = a, b
         lims = np.searchsorted(be, n - ae).tolist()
         self._charge(sum(lims))
+        ctx = self.ctx
+        matrices = scalings(ctx.scaling_array, ctx.p, ar)
         exps, rows = [], []
-        for i, matrix, lim in zip(ae.tolist(), _scalings(self.ctx, ar), lims):
+        for i, matrix, lim in zip(ae.tolist(), matrices, lims):
             if lim:
                 exps.append(be[:lim] + i)
-                rows.append(self._scale(br[:lim], matrix))
+                rows.append(scale(br[:lim], matrix) % ctx.p)
         return self._collect(exps, rows)
 
     def power(self, y, k: int, n: int, memo: dict):
@@ -378,10 +366,7 @@ class _Sparse:
             q, d = divmod(k, ctx.p)
             exps, rows = self.power(y, q, -(-n // ctx.p), memo)
             self._charge(exps.size)
-            if ctx.m > 1:
-                frobenius = np.array(ctx.frobenius_matrix(1), dtype=np.int64)
-                rows = rows @ frobenius % ctx.p
-            out = exps * ctx.p, rows
+            out = exps * ctx.p, frobenius_rows(ctx, rows)
             if d:
                 out = self.mul(self.power(y, d, n, memo), out, n)
         memo[k] = (n, out)
@@ -390,6 +375,7 @@ class _Sparse:
     def substitute(self, f: MultiPoly, images, n: int):
         """f(t, images) modulo t^n; terms are grouped by their exponents
         past x's, as in substitute_series."""
+        ctx = self.ctx
         groups: dict = {}
         for exp, c in f.terms.items():
             if exp[0] < n:
@@ -399,14 +385,15 @@ class _Sparse:
         exps, rows = [], []
         for rest, group in groups.items():
             need = n - min(a for a, _ in group)
-            prod = self.series({0: self.ctx.one})
+            prod = self.series({0: ctx.one})
             for y, e, memo in zip(images, rest, memos):
                 if e and prod[0].size:
                     prod = self.mul(prod, self.power(y, e, need, memo), need)
             self._charge(prod[0].size * len(group))
-            matrices = _scalings(self.ctx, [c.coeffs for _, c in group])
+            matrices = scalings(ctx.scaling_array, ctx.p,
+                                [c.coeffs for _, c in group])
             for (a, _), matrix in zip(group, matrices):
                 cut = np.searchsorted(prod[0], n - a)
                 exps.append(prod[0][:cut] + a)
-                rows.append(self._scale(prod[1][:cut], matrix))
+                rows.append(scale(prod[1][:cut], matrix) % ctx.p)
         return self._collect(exps, rows)

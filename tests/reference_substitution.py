@@ -17,7 +17,7 @@ from charp.poly import MultiPoly
 from charp.series import TruncatedSeries
 
 
-def _power_cached(base_arr, k, cache, red, p, nout):
+def _power_cached(base_arr, k, cache, table, p, nout):
     """base^k as a raw array, by binary powering with memoization."""
     hit = cache.get(k)
     if hit is not None:
@@ -25,10 +25,10 @@ def _power_cached(base_arr, k, cache, red, p, nout):
     if k == 1:
         cache[1] = base_arr
         return base_arr
-    half = _power_cached(base_arr, k // 2, cache, red, p, nout)
-    out = series_mul(half, half, red, p, nout)
+    half = _power_cached(base_arr, k // 2, cache, table, p, nout)
+    out = series_mul(half, half, table, p, nout)
     if k & 1:
-        out = series_mul(out, base_arr, red, p, nout)
+        out = series_mul(out, base_arr, table, p, nout)
     cache[k] = out
     return out
 
@@ -50,7 +50,7 @@ def substitute_series(f: MultiPoly, images, precision: int) -> TruncatedSeries:
             raise PrecisionMismatch(
                 f"image precision {s.precision} below requested {precision}")
     p = ctx.p
-    red = ctx.reduction_array
+    table = ctx.scaling_array
     image_arrs = [np.ascontiguousarray(s.coeffs[:precision]) for s in images]
     caches: list = [{} for _ in range(f.nvars)]
     acc = np.zeros((precision, ctx.m), dtype=np.int64)
@@ -60,12 +60,14 @@ def substitute_series(f: MultiPoly, images, precision: int) -> TruncatedSeries:
         for j, e in enumerate(exp):
             if e == 0:
                 continue
-            pw = _power_cached(image_arrs[j], e, caches[j], red, p, precision)
-            cur = pw if cur is None else series_mul(cur, pw, red, p, precision)
+            pw = _power_cached(image_arrs[j], e, caches[j], table, p,
+                               precision)
+            cur = pw if cur is None else series_mul(cur, pw, table, p,
+                                                    precision)
         if cur is None:
             acc[0] = (acc[0] + np.asarray(coeff.coeffs)) % p
         else:
             const_row[0, :] = coeff.coeffs
-            term = series_mul(cur, const_row, red, p, precision)
+            term = series_mul(cur, const_row, table, p, precision)
             acc = (acc + term) % p
     return TruncatedSeries(ctx, acc)

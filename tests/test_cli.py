@@ -40,6 +40,78 @@ GOLDEN = [
      '{"compatible":false}'),
     ("cartier compat --p 2 --vars 1 --e-max 2 -g 'x^3' -J 'x^2'",
      '{"compatible":false,"checked":2,"failures":[{"e":2,"g":"x^3"}]}'),
+    # extension fields: u-polynomial coefficients, m > 1 series kernels
+    ("dvr distinguish --p 3 --m 2 --stream-a 'from-seed(7)' "
+     "--stream-b 'from-seed(7)+t^5'",
+     '{"i":5,"fraction":"x^5/(y-(2*u+2)*x-x^2-(u+1)*x^3-(u+1)*x^4-'
+     '(2*u+2)*x^5)","in_ring_a":false,"in_ring_b":true}'),
+    ("report dvr --p 5 --m 3 --vars 3 --stream lacunary "
+     "--stream 'from-seed(11)' --samples 4 --seed 2",
+     ('{"subject":{"kind":"embedding-dvr","function_field":"F_5^3(x,y,'
+      'z)","streams":["t","lacunary","from-seed(11)"],'
+      '"precision_cap":4096,"samples":4,"seed":2},'
+      '"evidence":[{"claim":"x generates the maximal ideal: v(x) = 1",'
+      '"witness":{"value":1,"precision_certified":16},'
+      '"by":"computation"},{"claim":"residue field equals the '
+      'coefficient field (transcendence degree 0)",'
+      '"witness":{"samples":4,"in_field":4,'
+      '"examples":[{"element":"((4*u^2+u+4)*x*y^2*z^2+(2*u^2+4*u+3)'
+      '*y*z^3)/x^4","residue":"3*u^2+3*u+1"},'
+      '{"element":"((4*u^2+u+4)*x^2*y^3*z^3+(3*u^2+2*u)*x^3*y^2+(u^'
+      '2+4*u+4)*x*y*z^2+(2*u^2+u)*x*y*z)/x^3","residue":"3*u^2+u+4"},'
+      '{"element":"((4*u^2+4*u+2)*x^2*y^3*z^3+(3*u^2+2*u+3)*x^3*y^3'
+      '*z+(u^2+3*u+2)*x^3*y^2*z^2)/x^7","residue":"2*u^2+2*u+2"},'
+      '{"element":"((4*u^2+4*u+4)*x^3*y^2*z^2+(2*u^2+4*u+3)*x^3*y^2'
+      '*z+(2*u^2+4*u+1)*x^3*y*z^2)/x^6","residue":"u^2+4*u+2"}]},'
+      '"by":"computation"},{"claim":"function field has transcendence '
+      'degree 3, so a divisorial ring would need residue transcendence '
+      'degree 2","witness":{"n":3,"required":2,"observed":0},'
+      '"by":"divisorial-residue"}],"assumptions":[{"claim":"stream '
+      '\'lacunary\' is transcendental over the rational functions in t",'
+      '"provenance":"builtin stream catalog"},{"claim":"stream '
+      "'from-seed(11)' is transcendental over the rational functions in "
+      't","provenance":"builtin stream catalog"}],'
+      '"verdicts":[{"claim":"V is not divisorial",'
+      '"by":"divisorial-residue","premise":"residue field has '
+      'transcendence degree 0, below n-1"},{"claim":"V is not excellent",'
+      '"by":"dvr-trichotomy","premise":"V is not divisorial"},'
+      '{"claim":"V is not F-finite","by":"excellent-iff-f-finite",'
+      '"premise":"V is not excellent"},{"claim":"V is not Frobenius '
+      'split","by":"dvr-trichotomy","premise":"V is not F-finite"},'
+      '{"claim":"Hom(F^e_* V, V) = 0 for every e >= 1",'
+      '"by":"solidity-criterion","premise":"V is not Frobenius split"}]}')),
+    ("report dvr --p 1048573 --m 2 --stream 'lacunary-shift(1)' "
+     "--samples 3 --seed 3",
+     ('{"subject":{"kind":"embedding-dvr",'
+      '"function_field":"F_1048573^2(x,y)","streams":["t",'
+      '"lacunary-shift(1)"],"precision_cap":4096,"samples":3,"seed":3},'
+      '"evidence":[{"claim":"x generates the maximal ideal: v(x) = 1",'
+      '"witness":{"value":1,"precision_certified":16},'
+      '"by":"computation"},{"claim":"residue field equals the '
+      'coefficient field (transcendence degree 0)",'
+      '"witness":{"samples":3,"in_field":3,'
+      '"examples":[{"element":"((633256*u+960437)*x*y^2)/x^5",'
+      '"residue":"633256*u+960437"},'
+      '{"element":"((245713*u+577539)*x^3*y^2+(877093*u+567252)*x*y'
+      '^3+(878149*u+952965))/1","residue":"878149*u+952965"},'
+      '{"element":"((902847*u+670111)*x^3*y^3+(814989*u+704025)*x^3'
+      '+(158987*u+665699)*x*y+(1004008*u+795062)*y)/x^2",'
+      '"residue":"1004008*u+795062"}]},"by":"computation"},'
+      '{"claim":"function field has transcendence degree 2, so a '
+      'divisorial ring would need residue transcendence degree 1",'
+      '"witness":{"n":2,"required":1,"observed":0},'
+      '"by":"divisorial-residue"}],"assumptions":[{"claim":"stream '
+      "'lacunary-shift(1)' is transcendental over the rational functions "
+      'in t","provenance":"builtin stream catalog"}],'
+      '"verdicts":[{"claim":"V is not divisorial",'
+      '"by":"divisorial-residue","premise":"residue field has '
+      'transcendence degree 0, below n-1"},{"claim":"V is not excellent",'
+      '"by":"dvr-trichotomy","premise":"V is not divisorial"},'
+      '{"claim":"V is not F-finite","by":"excellent-iff-f-finite",'
+      '"premise":"V is not excellent"},{"claim":"V is not Frobenius '
+      'split","by":"dvr-trichotomy","premise":"V is not F-finite"},'
+      '{"claim":"Hom(F^e_* V, V) = 0 for every e >= 1",'
+      '"by":"solidity-criterion","premise":"V is not Frobenius split"}]}')),
 ]
 
 

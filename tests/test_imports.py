@@ -59,9 +59,11 @@ VAL = ["val", "--p", "2", "--stream", "lacunary", "y-x-x^2"]
     run_main(["dvr", "distinguish", "--p", "3", "--stream-a", "lacunary",
               "--stream-b", "lacunary+t^5-t^5"], code=1),
     "import charp\ncharp.first_difference\ncharp.distinguishing_fraction",
+    run_main(["val", "--p", "2", "--stream", "nosuch(1)", "y"], code=2),
+    run_main(["report", "dvr", "--p", "3", "--stream", "nosuch(2)"], code=2),
 ], ids=["import", "decompose", "cartier-apply", "report-poly-ring",
         "selftest", "frobenius-matrix-inverse", "distinguish-agreeing",
-        "stream-comparison"])
+        "stream-comparison", "val-bad-stream", "report-dvr-bad-stream"])
 def test_work_without_series_loads_no_numpy(code):
     assert loaded_after(code) == []
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -62,7 +67,7 @@ class TestKernels:
             return TruncatedSeries(ctx, arr)
 
         a, b = operand(), operand()
-        got = _kernels.series_mul(a.coeffs, b.coeffs, ctx.reduction_array,
+        got = _kernels.series_mul(a.coeffs, b.coeffs, ctx.scaling_array,
                                   ctx.p, nout)
         assert np.array_equal(got, naive_mul(a, b, nout).coeffs)
 
@@ -80,8 +85,45 @@ class TestKernels:
         row = np.zeros((2, 1), dtype=np.int64)
         row[1, 0] = 1
         with pytest.raises(SizeBound):
-            _kernels.series_mul(row, row, ctx.reduction_array, ctx.p,
+            _kernels.series_mul(row, row, ctx.scaling_array, ctx.p,
                                 2 ** 23)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_scaling_table_is_field_multiplication(self, data):
+        """scaling_array[j][k] is the residue vector of u^(j+k), and rows
+        scaled through their scalings are FieldElement products."""
+        draw = data.draw
+        ctx = make_context(*draw(st.sampled_from(
+            [(p, m) for p in (2, 3, 5, 1048573) for m in (1, 2, 3)]
+            + [(2, 12)])))
+        table = ctx.scaling_array
+        assert table.shape == (ctx.m, ctx.m, ctx.m)
+        for j in range(ctx.m):
+            for k in range(ctx.m):
+                power = ctx.generator() ** (j + k) if ctx.m > 1 else ctx.one
+                assert tuple(table[j, k].tolist()) == power.coeffs
+        element = st.lists(st.integers(0, ctx.p - 1), min_size=ctx.m,
+                           max_size=ctx.m).map(ctx.elem)
+        factors = draw(st.lists(element, min_size=1, max_size=4))
+        rows = draw(st.lists(element, max_size=6))
+        arr = np.array([r.coeffs for r in rows],
+                       dtype=np.int64).reshape(-1, ctx.m)
+        matrices = _kernels.scalings(table, ctx.p, [c.coeffs for c in factors])
+        for c, matrix in zip(factors, matrices):
+            got = _kernels.scale(arr, matrix) % ctx.p
+            assert [tuple(r) for r in got.tolist()] == [
+                (r * c).coeffs for r in rows]
+
+    def test_bench_kernels_script_runs(self):
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, str(root / "benchmarks" / "bench_kernels.py"),
+             "--repeats", "1"],
+            env=env, capture_output=True, text=True, timeout=120, check=True)
+        assert "valuation workload" in proc.stdout
 
 
 class TestSeriesOps:

@@ -67,7 +67,7 @@ class TestBuiltins:
 
     def test_unit_stream_rejected(self, f2):
         with pytest.raises(ValueError):
-            SeriesStream(f2, "unit", lambda n: f2.one, nonunit=True)
+            SeriesStream(f2, "unit", lambda n: f2.one)
 
 
 class TestPerturb:

@@ -92,9 +92,9 @@ def test_group_product_stops_where_its_shift_leaves_off(pm, k, monkeypatch):
     n = 64
     nouts = []
 
-    def counting(a, b, red, p, nout):
+    def counting(a, b, table, p, nout):
         nouts.append(nout)
-        return series_mul(a, b, red, p, nout)
+        return series_mul(a, b, table, p, nout)
 
     monkeypatch.setattr(charp.series, "series_mul", counting)
     f = MultiPoly.from_terms(ctx, 2, {(n - k, 5): ctx.one})

@@ -96,16 +96,9 @@ class TestValuate:
         assert info.value.last_precision == 64
 
     def test_zero_image_stream_rejected(self, f2):
-        dead = type(lacunary(f2))(
-            f2, "dead", lambda n: f2.zero, nonunit=True)
+        dead = type(lacunary(f2))(f2, "dead", lambda n: f2.zero)
         with pytest.raises(ValueError):
             EmbeddingValuation(f2, [dead], precision_cap=32)
-
-    def test_unit_stream_rejected(self, f2):
-        unit = type(lacunary(f2))(
-            f2, "unit", lambda n: f2.one, nonunit=False)
-        with pytest.raises(ValueError):
-            EmbeddingValuation(f2, [unit])
 
     def test_t_image_is_built_not_realized(self):
         ctx = make_context(3, 2)
