@@ -435,39 +435,6 @@ class FieldElement:
             if self.ctx.m > 1 else f"<{self} in F_{self.ctx.p}>"
 
 
-def parse_element(text: str, ctx: FieldContext) -> FieldElement:
-    """Parse an element literal: an integer, or a u-polynomial like 'u^2+2*u+1'.
-
-    Accepts exactly the canonical form produced by str(); used by the JSON
-    deserializer.
-    """
-    text = text.strip()
-    total = ctx.zero
-    for part in text.split("+"):
-        part = part.strip()
-        if not part:
-            raise ValueError(f"empty term in element literal {text!r}")
-        if "u" in part:
-            if ctx.m == 1:
-                raise ValueError("'u' literal in a prime-field context")
-            if "*" in part:
-                cstr, upart = part.split("*", 1)
-                coeff = int(cstr)
-            else:
-                coeff, upart = 1, part
-            upart = upart.strip()
-            if upart == "u":
-                k = 1
-            elif upart.startswith("u^"):
-                k = int(upart[2:])
-            else:
-                raise ValueError(f"bad element term {part!r}")
-            total = total + ctx.elem(coeff) * ctx.generator() ** k
-        else:
-            total = total + ctx.elem(int(part))
-    return total
-
-
 _REGISTRY: dict = {}
 _REGISTRY_LOCK = threading.Lock()
 

@@ -2,11 +2,18 @@
 
 Grammar (whitespace insignificant, multiplication explicit):
 
+    rational := expr ("/" expr)?
     expr   := term (("+" | "-") term)*
     term   := unary ("*" unary)*
     unary  := "-" unary | power
     power  := atom ("^" integer)?
     atom   := integer | name | "(" expr ")"
+
+parse_rational reads a rational and parse_poly an expr, in one pass over
+the whole text, so an error position indexes the whole input.  `/` is a
+token only in a fraction, outside every parenthesis.  Integers are decimal
+digits; past int()'s digit limit a literal is an error, and so is nesting
+parentheses deeper than MAX_NESTING.
 
 Names are the variables (x, y, z for up to three variables, x1..xn beyond)
 plus `u`, the extension-field generator, which parses as a constant
@@ -27,6 +34,10 @@ from math import comb
 from .errors import PolySyntaxError
 from .ffield import FieldContext
 from .poly import EXPONENT_LIMIT, MultiPoly, RationalFn, var_names
+
+# Parentheses one parse may nest: the descent takes five Python frames per
+# parenthesis, well inside the default recursion limit.
+MAX_NESTING = 100
 
 # Term products one parse may take, over all its powers and products:
 # about a second of parsing at p = 1048573 on a 2-core x86 machine.
@@ -64,25 +75,34 @@ def _power_products(t: int, k: int, p: int) -> int:
     return products
 
 
+def _integer(text: str, pos: int, too_long: str) -> int:
+    """The literal at `pos`; past int()'s digit limit, `too_long` there."""
+    try:
+        return int(text)
+    except ValueError:
+        raise PolySyntaxError(too_long, pos) from None
+
+
 class _Tokenizer:
-    def __init__(self, text: str):
+    def __init__(self, text: str, fraction: bool):
         self.text = text
-        self.pos = 0
         self.tokens = []
-        self._scan()
+        self._scan(fraction)
         self.index = 0
 
-    def _scan(self):
+    def _scan(self, fraction: bool):
         text = self.text
+        depth = 0
+        slash = False
         i = 0
         while i < len(text):
             ch = text[i]
             if ch.isspace():
                 i += 1
                 continue
-            if ch.isdigit():
+            if ch.isdecimal():
                 j = i
-                while j < len(text) and text[j].isdigit():
+                while j < len(text) and text[j].isdecimal():
                     j += 1
                 self.tokens.append(("num", text[i:j], i))
                 i = j
@@ -95,6 +115,17 @@ class _Tokenizer:
                 i = j
                 continue
             if ch in "+-*^()":
+                depth += (ch == "(") - (ch == ")")
+                if depth > MAX_NESTING:
+                    raise PolySyntaxError(
+                        f"parentheses nest deeper than {MAX_NESTING}", i)
+                self.tokens.append((ch, ch, i))
+                i += 1
+                continue
+            if ch == "/" and fraction and depth == 0:
+                if slash:
+                    raise PolySyntaxError("more than one top-level '/'", i)
+                slash = True
                 self.tokens.append((ch, ch, i))
                 i += 1
                 continue
@@ -113,13 +144,13 @@ class _Tokenizer:
 
 class _Parser:
     def __init__(self, text: str, ctx: FieldContext, nvars: int,
-                 budget: int | None = None):
-        self.toks = _Tokenizer(text)
+                 fraction: bool = False):
+        self.toks = _Tokenizer(text, fraction)
         self.ctx = ctx
         self.nvars = nvars
         self.names = {name: i for i, name in enumerate(var_names(nvars))}
         # term products this parse may still take
-        self.budget = POWER_BUDGET if budget is None else budget
+        self.budget = POWER_BUDGET
 
     def _charge(self, products: int, pos: int, too_big: str):
         """Take `products` from the budget for the piece at `pos`; a piece
@@ -133,11 +164,22 @@ class _Parser:
         self.budget -= products
 
     def parse(self) -> MultiPoly:
+        """An expr, up to the end of the text or a fraction's '/'."""
         result = self._expr()
         kind, _, pos = self.toks.peek()
-        if kind != "end":
+        if kind not in ("end", "/"):
             raise PolySyntaxError("unexpected trailing input", pos)
         return result
+
+    def parse_fraction(self) -> RationalFn:
+        num = self.parse()
+        kind, _, slash = self.toks.advance()
+        if kind == "end":
+            return RationalFn.from_poly(num)
+        den = self.parse()
+        if den.is_zero:
+            raise PolySyntaxError("zero denominator", slash + 1)
+        return RationalFn(num, den)
 
     def _expr(self) -> MultiPoly:
         result = self._term()
@@ -164,10 +206,12 @@ class _Parser:
         return result
 
     def _unary(self) -> MultiPoly:
-        if self.toks.peek()[0] == "-":
+        negate = False
+        while self.toks.peek()[0] == "-":
             self.toks.advance()
-            return -self._unary()
-        return self._power()
+            negate = not negate
+        result = self._power()
+        return -result if negate else result
 
     def _power(self) -> MultiPoly:
         base = self._atom()
@@ -176,7 +220,7 @@ class _Parser:
             kind, text, pos = self.toks.advance()
             if kind != "num":
                 raise PolySyntaxError("exponent must be an integer", pos)
-            k = int(text)
+            k = _integer(text, pos, "exponent exceeds 32-bit bound")
             if k > EXPONENT_LIMIT:
                 raise PolySyntaxError("exponent exceeds 32-bit bound", pos)
             self._charge(_power_products(max(len(base.terms), 1), k,
@@ -189,7 +233,9 @@ class _Parser:
     def _atom(self) -> MultiPoly:
         kind, text, pos = self.toks.advance()
         if kind == "num":
-            return MultiPoly.const(self.ctx, self.nvars, int(text))
+            return MultiPoly.const(self.ctx, self.nvars,
+                                   _integer(text, pos, "integer literal too "
+                                            "long"))
         if kind == "name":
             if text == "u" and self.ctx.m > 1:
                 return MultiPoly.const(self.ctx, self.nvars,
@@ -213,25 +259,7 @@ def parse_poly(text: str, ctx: FieldContext, nvars: int) -> MultiPoly:
 
 
 def parse_rational(text: str, ctx: FieldContext, nvars: int) -> RationalFn:
-    """Parse `num/den` (split at the single top-level '/'), or a bare
-    polynomial; numerator and denominator share one budget."""
-    depth = 0
-    split = None
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "/" and depth == 0:
-            if split is not None:
-                raise PolySyntaxError("more than one top-level '/'", i)
-            split = i
-    if split is None:
-        return RationalFn.from_poly(parse_poly(text, ctx, nvars))
-    numerator = _Parser(text[:split], ctx, nvars)
-    num = numerator.parse()
-    # the denominator spends what the numerator left of the budget
-    den = _Parser(text[split + 1:], ctx, nvars, numerator.budget).parse()
-    if den.is_zero:
-        raise PolySyntaxError("zero denominator", split + 1)
-    return RationalFn(num, den)
+    """Parse `num/den` or a bare polynomial in one pass; numerator and
+    denominator share one budget, and error positions index the whole
+    text."""
+    return _Parser(text, ctx, nvars, fraction=True).parse_fraction()

@@ -11,7 +11,7 @@ set and decide membership by componentwise divisibility.
 from __future__ import annotations
 
 from .errors import ContextMismatch, ExponentOverflow
-from .ffield import FieldContext, FieldElement, parse_element
+from .ffield import FieldContext, FieldElement
 
 Exponent = tuple
 
@@ -206,29 +206,13 @@ class MultiPoly:
         return hash((id(self.ctx), self.nvars,
                      frozenset((e, c.coeffs) for e, c in self.terms.items())))
 
-    # -- formatting and serialization ----------------------------------------
+    # -- formatting ---------------------------------------------------------
 
     def __str__(self):
         return format_poly(self)
 
     def __repr__(self):
         return f"MultiPoly({format_poly(self)})"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "vars": var_names(self.nvars),
-            "terms": [{"exp": list(exp), "coeff": str(coeff)}
-                      for exp, coeff in self.sorted_terms()],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict, ctx: FieldContext) -> "MultiPoly":
-        nvars = len(data["vars"])
-        terms = {}
-        for item in data["terms"]:
-            exp = tuple(int(e) for e in item["exp"])
-            terms[exp] = parse_element(item["coeff"], ctx)
-        return cls.from_terms(ctx, nvars, terms)
 
 
 def format_monomial(exp: Exponent, nvars: int) -> str:

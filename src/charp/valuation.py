@@ -19,7 +19,10 @@ its order is v(f), its lowest coefficient is exact, and r is the certified
 precision.  The walk starts at the first r above both the cap and the
 term-order bound, computes f(t, P_d) modulo t^r with sparse products, and
 raises d one support index at a time.  Below the cap only the dense ladder
-certifies, so every certificate it gives is unchanged.
+certifies, so every certificate it gives is unchanged.  An image's own
+order is read from the first cap indices where it may be nonzero: those
+below the cap for an image without a support, and its support for a gap
+stream, whose order may then lie at or past the cap.
 
 Exhausting the cap raises instead of guessing when an image has no support
 (a from-seed or t image), when the walk's next support index would pass
@@ -41,6 +44,7 @@ which ring holds the fraction needs a valuation.
 from __future__ import annotations
 
 import threading
+from itertools import islice
 from operator import mul
 
 import numpy as np
@@ -107,8 +111,9 @@ class EmbeddingValuation:
             orders.append(self._first_nonzero(i))
             if orders[-1] is None:
                 raise ValueError(
-                    f"stream {s.label!r} has no nonzero coefficient below "
-                    f"the cap {precision_cap}; refusing a zero image")
+                    f"stream {s.label!r} is zero at the first "
+                    f"{precision_cap} indices where it may be nonzero; "
+                    "refusing a zero image")
         self._orders = tuple(orders)  # exact t-adic orders of the images
         self._powers = [_Powers(ctx, k) for k in orders[1:]]
 
@@ -137,14 +142,16 @@ class EmbeddingValuation:
             return grown
 
     def _first_nonzero(self, i: int):
-        """Index of the first nonzero coefficient of image i below the cap,
-        or None."""
+        """Index of the first nonzero coefficient of image i among the first
+        precision_cap indices where it may be nonzero, or None.  Without a
+        support those are the indices below the cap; a gap stream's support
+        gives an order at or past the cap exactly."""
         if i == 0:
             return 1 if self.precision_cap > 1 else None  # the image t
         stream = self.streams[i]
         oracle = stream.oracle
-        return next((k for k in stream.indices(0, self.precision_cap)
-                     if oracle(k)), None)
+        at = islice(stream.indices(0, EXPONENT_LIMIT + 1), self.precision_cap)
+        return next((k for k in at if oracle(k)), None)
 
     def images(self, precision: int) -> list:
         """Stream images at the given precision: t, built on demand, then

@@ -610,6 +610,11 @@ class TestPastTheCap:
         ("val --p 3 --stream 'geometric-gap(2)' --precision-cap 64 "
          "'x^7/(y-x^2-x^4-x^8-x^16-x^32)'",
          '{"value":-57,"precision_certified":128}'),
+        # the image's own order is at or past the cap
+        ("val --p 2 --stream 'geometric-gap(5000)' y",
+         '{"value":5000,"precision_certified":25000000}'),
+        ("val --p 2 --precision-cap 16 --stream 'lacunary-shift(100)' y",
+         '{"value":101,"precision_certified":102}'),
     ])
     def test_value_past_the_cap(self, capsys, cmdline, expected):
         code, out, _ = run_cli(capsys, cmdline)

@@ -1,12 +1,16 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import charp.parser
-from charp.errors import PolySyntaxError
+import reference_parser as reference
+from charp.errors import ExponentOverflow, PolySyntaxError
 from charp.ffield import make_context
-from charp.parser import _power_products, _terms, parse_poly, parse_rational
-from charp.poly import MultiPoly, format_poly, random_poly
+from charp.parser import (MAX_NESTING, _power_products, _terms, parse_poly,
+                          parse_rational)
+from charp.poly import MultiPoly, RationalFn, format_poly, random_poly
 
 
 class TestParse:
@@ -63,6 +67,27 @@ class TestParse:
         with pytest.raises(PolySyntaxError) as info:
             parse_poly("x^y", f2, 2)
         assert info.value.position == 2
+
+    @pytest.mark.parametrize("text,position,message", [
+        # digits int() does not read are not digits
+        ("x^\u00b2", 2, "unexpected character '\u00b2'"),
+        ("1" * 4301 + "*x", 0, "integer literal too long"),
+        ("x^" + "1" * 4301, 2, "exponent exceeds 32-bit bound"),
+        ("(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1),
+         MAX_NESTING, f"parentheses nest deeper than {MAX_NESTING}"),
+    ])
+    def test_hostile_text_is_a_syntax_error(self, f2, text, position,
+                                            message):
+        with pytest.raises(PolySyntaxError, match=message) as info:
+            parse_poly(text, f2, 1)
+        assert info.value.position == position
+
+    def test_decimal_digits_and_deep_text_parse(self, f3):
+        assert parse_poly("\u0663*x", f3, 1).is_zero  # Arabic-Indic 3
+        x = parse_poly("x", f3, 1)
+        nested = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+        assert parse_poly(nested, f3, 1) == x
+        assert parse_poly("-" * 5001 + "x", f3, 1) == -x
 
     def test_trailing_garbage(self, f2):
         with pytest.raises(PolySyntaxError):
@@ -138,7 +163,8 @@ class TestParse:
         parse_rational("(x+y+1)*(x+y+1)/(x*y)", ctx, 2)
         with pytest.raises(PolySyntaxError, match="in all") as exc:
             parse_rational("(x+y+1)*(x+y+1)/(x*y*y*y*y)", ctx, 2)
-        assert exc.value.position == 8  # the last '*' of the denominator
+        # the last '*' of the denominator, counted from the start of the text
+        assert exc.value.position == 24
 
     def test_a_sum_of_pieces_within_the_budget_is_refused(self, monkeypatch):
         """Each product fits the budget on its own, and parsed for seconds
@@ -230,3 +256,91 @@ class TestParseRational:
     def test_zero_denominator_rejected(self, f2):
         with pytest.raises(PolySyntaxError):
             parse_rational("x/(y - y)", f2, 2)
+
+    @pytest.mark.parametrize("text,position", [
+        ("x/yy", 2), ("(x+y)/y@", 7), ("x/", 2), ("x/(y - y)", 2),
+        ("x@/y", 1), ("x/y/x", 3), ("(x/y)", 2), ("x/y^2^3", 5),
+    ])
+    def test_positions_index_the_whole_input(self, f2, text, position):
+        with pytest.raises(PolySyntaxError) as info:
+            parse_rational(text, f2, 2)
+        assert info.value.position == position
+
+    def test_slash_only_in_a_fraction(self, f2):
+        with pytest.raises(PolySyntaxError,
+                           match="unexpected character '/'") as info:
+            parse_poly("x/y", f2, 2)
+        assert info.value.position == 1
+
+
+CONTEXTS = [make_context(2), make_context(3), make_context(2, 2)]
+
+_atoms = st.sampled_from(["x", "y", "u", "0", "1", "2", "3"])
+
+
+def _compound(inner):
+    return st.one_of(
+        st.tuples(inner, st.sampled_from(["+", " - ", "*"]),
+                  inner).map("".join),
+        inner.map("-{}".format),
+        st.tuples(inner, st.integers(0, 5)).map("({0[0]})^{0[1]}".format),
+    )
+
+
+_exprs = st.recursive(_atoms, _compound, max_leaves=8)
+
+
+def _outcome(parse, text, ctx):
+    try:
+        return parse(text, ctx, 2)
+    except PolySyntaxError as exc:
+        return exc
+
+
+@settings(max_examples=300, deadline=None)
+@given(ctx=st.sampled_from(CONTEXTS),
+       text=st.one_of(st.tuples(_exprs, _exprs).map("/".join),
+                      _exprs,
+                      st.text("xy2u+-*^()/ @z", max_size=16)))
+def test_fraction_agrees_with_the_splitter(ctx, text):
+    """The one-pass reader and the old top-level '/' splitter parse the
+    same texts to the same fraction."""
+    got = _outcome(parse_rational, text, ctx)
+    want = _outcome(reference.parse_rational, text, ctx)
+    if isinstance(got, RationalFn) or isinstance(want, RationalFn):
+        assert (got.num, got.den) == (want.num, want.den)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ctx=st.sampled_from(CONTEXTS), num=_exprs, den=_exprs,
+       data=st.data())
+def test_denominator_fault_positions_agree(ctx, num, den, data):
+    """One bad character in the denominator of a fraction is blamed at the
+    same place of the whole text by both readers."""
+    assume(isinstance(_outcome(parse_rational, f"{num}/{den}", ctx),
+                      RationalFn))
+    k = data.draw(st.integers(0, len(den) - 1))
+    text = f"{num}/{den[:k]}@{den[k + 1:]}"
+    got = _outcome(parse_rational, text, ctx)
+    want = _outcome(reference.parse_rational, text, ctx)
+    assert got.position == want.position == len(num) + 1 + k
+
+
+_PIECES = list("xyzu0123456789+-*^()/ ") + ["\u00b2", "\u0663", "_", "@",
+                                            "1" * 4301]
+
+
+@settings(max_examples=300, deadline=None)
+@given(ctx=st.sampled_from(CONTEXTS),
+       text=st.lists(st.sampled_from(_PIECES), max_size=40).map("".join))
+def test_any_text_parses_or_is_a_typed_error(ctx, text):
+    """Text over the grammar's characters, odd digits and over-long
+    literals either parses or is a syntax error inside the text; past the
+    32-bit exponent bound, arithmetic raises its own typed error."""
+    for parse in (parse_poly, parse_rational):
+        try:
+            parse(text, ctx, 2)
+        except PolySyntaxError as exc:
+            assert 0 <= exc.position <= len(text)
+        except ExponentOverflow:
+            pass

@@ -6,7 +6,7 @@ from charp.errors import ContextMismatch, ExponentOverflow
 from charp.ffield import make_context
 from charp.parser import parse_poly
 from charp.poly import (EXPONENT_LIMIT, MonomialIdeal, MultiPoly, RationalFn,
-                        format_poly, member, random_poly, random_nonzero_poly)
+                        format_poly, member, random_poly)
 
 
 class TestArithmetic:
@@ -155,16 +155,3 @@ class TestRationalFn:
         assert r == RationalFn(x * y, y * x)
         assert r == MultiPoly.const(f2, 2, 1)
 
-
-class TestJson:
-    def test_round_trip(self, f4, rng):
-        for _ in range(25):
-            f = random_nonzero_poly(f4, 3, rng)
-            assert MultiPoly.from_json_dict(f.to_json_dict(), f4) == f
-
-    def test_shape(self, f3):
-        f = parse_poly("x^2*y + 2", f3, 2)
-        data = f.to_json_dict()
-        assert data["vars"] == ["x", "y"]
-        assert data["terms"] == [{"exp": [2, 1], "coeff": "1"},
-                                 {"exp": [0, 0], "coeff": "2"}]

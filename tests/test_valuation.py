@@ -100,6 +100,23 @@ class TestValuate:
         with pytest.raises(ValueError):
             EmbeddingValuation(f2, [dead], precision_cap=32)
 
+    @pytest.mark.parametrize("p,m", [(2, 1), (3, 2), (1048573, 1)])
+    @pytest.mark.parametrize("name", ["lacunary", "from-seed(7)"])
+    def test_order_reads_the_oracle_up_to_it(self, p, m, name):
+        """Building an image's order asks the oracle at exactly the indices
+        up to that order where the image may be nonzero."""
+        ctx = make_context(p, m)
+        stream = builtin_streams(ctx)[name]
+        read, oracle = [], stream.oracle
+
+        def recording(n):
+            read.append(n)
+            return oracle(n)
+
+        stream.oracle = recording
+        V = EmbeddingValuation(ctx, [stream])
+        assert read == list(stream.indices(0, V._orders[1] + 1))
+
     def test_t_image_is_built_not_realized(self):
         ctx = make_context(3, 2)
         V = EmbeddingValuation(ctx, [lacunary(ctx)])
