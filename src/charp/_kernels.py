@@ -19,6 +19,9 @@ Either way the product accumulates exact integers before one reduction
 pass: entries are < p <= 2^20, so each accumulator cell collects at most
 N*m products below 2^40 and stays far under 2^63 for every supported
 precision; series_mul enforces that bound.
+
+Realizing a from-seed stream reads residue rows from a block of sha256
+digests at once (low_digits).
 """
 
 from __future__ import annotations
@@ -47,6 +50,22 @@ def frobenius_rows(ctx, rows) -> np.ndarray:
     if ctx.m == 1:
         return rows
     return rows @ np.array(ctx.frobenius_matrix(1), dtype=np.int64) % ctx.p
+
+
+def low_digits(digests: bytes, p: int, m: int) -> np.ndarray:
+    """The m lowest base-p digits, lowest first, of each 32-byte big-endian
+    integer in `digests`, as (k, m) rows: per digit, one long division by
+    p over 32-bit limbs, each limb a column of the block.  A remainder is
+    below p <= 2^20, so remainder * 2^32 + limb stays below 2^52."""
+    limbs = np.ascontiguousarray(
+        np.frombuffer(digests, dtype=">u4").reshape(-1, 8).T, dtype=np.int64)
+    rows = np.empty((limbs.shape[1], m), dtype=np.int64)
+    for j in range(m):
+        r = 0
+        for limb in limbs:
+            limb[:], r = np.divmod((r << 32) | limb, p)
+        rows[:, j] = r
+    return rows
 
 
 def series_mul(a, b, table, p, nout):

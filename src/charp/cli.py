@@ -23,7 +23,7 @@ from .errors import (CharpError, ContextMismatch, DegreeTooLarge, NotPrime,
 from .ffield import make_context
 from .frobenius import decompose as frob_decompose
 from .frobenius import recompose
-from .parser import parse_poly, parse_rational
+from .parser import parse_list, parse_poly, parse_rational
 from .poly import (MonomialIdeal, MultiPoly, format_monomial, format_poly,
                    random_poly)
 from .streams import (DEFAULT_PRECISION_CAP, distinguishing_fraction,
@@ -225,9 +225,8 @@ def _split_check(args, ctx):
 def _compat(args, ctx):
     if (args.e is None) == (args.e_max is None):
         raise ValueError("give exactly one of --e or --e-max")
-    gens = [parse_poly(p, ctx, args.vars) for p in args.J.split(",")]
-    ideal = MonomialIdeal.from_polys(gens)
-    multipliers = [parse_poly(t, ctx, args.vars) for t in args.g.split(";")]
+    ideal = MonomialIdeal.from_polys(parse_list(args.J, ctx, args.vars, ","))
+    multipliers = parse_list(args.g, ctx, args.vars, ";")
     levels = ([args.e] if args.e is not None
               else list(range(1, args.e_max + 1)))
     failures = [{"e": e, "g": format_poly(g)}

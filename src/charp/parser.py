@@ -3,17 +3,19 @@
 Grammar (whitespace insignificant, multiplication explicit):
 
     rational := expr ("/" expr)?
+    list   := expr (sep expr)*
     expr   := term (("+" | "-") term)*
     term   := unary ("*" unary)*
     unary  := "-" unary | power
     power  := atom ("^" integer)?
     atom   := integer | name | "(" expr ")"
 
-parse_rational reads a rational and parse_poly an expr, in one pass over
-the whole text, so an error position indexes the whole input.  `/` is a
-token only in a fraction, outside every parenthesis.  Integers are decimal
-digits; past int()'s digit limit a literal is an error, and so is nesting
-parentheses deeper than MAX_NESTING.
+parse_rational reads a rational, parse_list a list and parse_poly an expr,
+each in one pass over the whole text, so an error position indexes the
+whole input.  `/` is a token only in a fraction, and a list's separator
+(`,` or `;`) only in that list, outside every parenthesis.  Integers are
+decimal digits; past int()'s digit limit a literal is an error, and so is
+nesting parentheses deeper than MAX_NESTING.
 
 Names are the variables (x, y, z for up to three variables, x1..xn beyond)
 plus `u`, the extension-field generator, which parses as a constant
@@ -23,8 +25,9 @@ A power is expanded only when the term products it may take fit a budget,
 bounded before expanding; past it the exponent is a syntax error.  A
 product of two factors with a and b terms takes a * b term products and is
 held to the same budget; past it the `*` is a syntax error.  The budget is
-one for the whole parse, so a sum of pieces that each fit cannot add up
-past it either: the piece that would overrun it is the error.
+one for the whole parse, a list's items included, so a sum of pieces that
+each fit cannot add up past it either: the piece that would overrun it is
+the error.
 """
 
 from __future__ import annotations
@@ -84,13 +87,15 @@ def _integer(text: str, pos: int, too_long: str) -> int:
 
 
 class _Tokenizer:
-    def __init__(self, text: str, fraction: bool):
+    def __init__(self, text: str, separator):
         self.text = text
         self.tokens = []
-        self._scan(fraction)
+        self._scan(separator)
         self.index = 0
 
-    def _scan(self, fraction: bool):
+    def _scan(self, separator):
+        """Tokens of the text; `separator`, if given, is one at depth 0, and
+        a fraction's `/` is one at most once."""
         text = self.text
         depth = 0
         slash = False
@@ -122,10 +127,10 @@ class _Tokenizer:
                 self.tokens.append((ch, ch, i))
                 i += 1
                 continue
-            if ch == "/" and fraction and depth == 0:
+            if ch == separator and depth == 0:
                 if slash:
                     raise PolySyntaxError("more than one top-level '/'", i)
-                slash = True
+                slash = ch == "/"  # a fraction has one; a list, any number
                 self.tokens.append((ch, ch, i))
                 i += 1
                 continue
@@ -144,8 +149,9 @@ class _Tokenizer:
 
 class _Parser:
     def __init__(self, text: str, ctx: FieldContext, nvars: int,
-                 fraction: bool = False):
-        self.toks = _Tokenizer(text, fraction)
+                 separator=None):
+        self.separator = separator
+        self.toks = _Tokenizer(text, separator)
         self.ctx = ctx
         self.nvars = nvars
         self.names = {name: i for i, name in enumerate(var_names(nvars))}
@@ -164,10 +170,10 @@ class _Parser:
         self.budget -= products
 
     def parse(self) -> MultiPoly:
-        """An expr, up to the end of the text or a fraction's '/'."""
+        """An expr, up to the end of the text or a separator."""
         result = self._expr()
         kind, _, pos = self.toks.peek()
-        if kind not in ("end", "/"):
+        if kind not in ("end", self.separator):
             raise PolySyntaxError("unexpected trailing input", pos)
         return result
 
@@ -180,6 +186,12 @@ class _Parser:
         if den.is_zero:
             raise PolySyntaxError("zero denominator", slash + 1)
         return RationalFn(num, den)
+
+    def parse_list(self) -> list:
+        items = [self.parse()]
+        while self.toks.advance()[0] != "end":
+            items.append(self.parse())
+        return items
 
     def _expr(self) -> MultiPoly:
         result = self._term()
@@ -262,4 +274,12 @@ def parse_rational(text: str, ctx: FieldContext, nvars: int) -> RationalFn:
     """Parse `num/den` or a bare polynomial in one pass; numerator and
     denominator share one budget, and error positions index the whole
     text."""
-    return _Parser(text, ctx, nvars, fraction=True).parse_fraction()
+    return _Parser(text, ctx, nvars, "/").parse_fraction()
+
+
+def parse_list(text: str, ctx: FieldContext, nvars: int,
+               separator: str) -> list:
+    """Parse polynomials separated by `separator` (`,` or `;`) in one pass;
+    the items share one budget, and error positions index the whole
+    text."""
+    return _Parser(text, ctx, nvars, separator).parse_list()

@@ -16,24 +16,35 @@ perturbation that cancels a coefficient leaves its index in the support).
 Every index it does not yield has coefficient 0.  The gap streams list
 their exponents directly, `perturb` merges its index into its base's
 support, and `from-seed` and `t` have none (`support` is None).  The
-valuation engine realizes a stream with a support only at its support
-indices, and walks the support to certify values past the precision cap.
+valuation engine walks the support to certify values past the precision
+cap.
+
+A stream realizes a block of its prefix in one call: `realize(start,
+stop)` returns the residue rows of the coefficients at [start, stop), a
+new (stop - start, m) int64 array, each row equal to the oracle's
+coefficient there.  By default it asks the oracle only at the indices where
+the coefficient may be nonzero, so a gap stream is realized at its support.
+A from-seed stream hashes every index of the block as its oracle does and
+reads the residues of all the digests at once, and a perturbation adds its
+delta to its base's rows.
 
 Two streams are compared here too, from their coefficients alone:
 `first_difference` finds the first index where they disagree, and
 `distinguishing_fraction` builds the fraction that separates their
-embedding valuations (see valuation).  Nothing in this module needs numpy,
-so `dvr distinguish` on agreeing streams never loads it.
+embedding valuations (see valuation).  Only realizing a block needs numpy,
+which it imports when called, so `dvr distinguish` on agreeing streams
+never loads it.
 """
 
 from __future__ import annotations
 
 from heapq import merge
-from itertools import takewhile
+from itertools import islice, takewhile
 
 from .errors import ContextMismatch, PolySyntaxError, StreamsAgree
 from .ffield import FieldContext, FieldElement
-from .poly import MultiPoly, RationalFn, format_monomial, format_poly
+from .poly import (EXPONENT_LIMIT, MultiPoly, RationalFn, format_monomial,
+                   format_poly)
 
 # Longest stream prefix a valuation realizes unless told otherwise.
 DEFAULT_PRECISION_CAP = 4096
@@ -68,6 +79,17 @@ class SeriesStream:
         if self.support is None:
             return range(start, stop)
         return takewhile(lambda n: n < stop, self.support(start))
+
+    def realize(self, start: int, stop: int):
+        """The residue rows of the coefficients at [start, stop), asking
+        the oracle only at indices(start, stop)."""
+        import numpy as np  # only realizing needs arrays
+        rows = np.zeros((stop - start, self.ctx.m), dtype=np.int64)
+        at = list(self.indices(start, stop))
+        if at:
+            oracle = self.oracle
+            rows[[k - start for k in at]] = [oracle(k).coeffs for k in at]
+        return rows
 
     def __repr__(self):
         return f"SeriesStream({self.label!r})"
@@ -138,12 +160,40 @@ def geometric_gap(ctx: FieldContext, b: int) -> SeriesStream:
     return _exponent_set_stream(ctx, f"geometric-gap({b})", powers)
 
 
+class _SeededStream(SeriesStream):
+    """A from-seed stream, whose oracle hashes the index after `prefix`."""
+
+    __slots__ = ("prefix",)
+
+    def __init__(self, ctx, label, oracle, prefix):
+        self.prefix = prefix
+        super().__init__(ctx, label, oracle, transcendental_assumed=True)
+
+    def realize(self, start: int, stop: int):
+        """The block's rows from one digest per index, as the oracle takes
+        them, read into residues all at once."""
+        from ._kernels import low_digits
+        prefix = self.prefix
+
+        def digest(n):
+            h = prefix.copy()
+            h.update(b"%d" % n)
+            return h.digest()
+
+        rows = low_digits(b"".join(map(digest, range(start, stop))),
+                          self.ctx.p, self.ctx.m)
+        if start == 0:
+            rows[:1] = 0
+        return rows
+
+
 def from_seed(ctx: FieldContext, seed: int) -> SeriesStream:
     """Pseudorandom coefficients derived per-index from a recorded seed.
 
     Each coefficient hashes (seed, n), so access is random-access and
     reproducible across processes; the constant coefficient is forced to 0.
-    The hash of the text before n is taken once and copied per index.
+    The hash of the text before n is taken once and copied per index.  The
+    stream realizes a block from its digests in one vectorised pass.
     """
     import hashlib  # only seeded streams hash, so only they load it
     p, m = ctx.p, ctx.m
@@ -161,13 +211,41 @@ def from_seed(ctx: FieldContext, seed: int) -> SeriesStream:
             value //= p
         return FieldElement(ctx, tuple(residues))
 
-    return SeriesStream(ctx, f"from-seed({seed})", oracle,
-                        transcendental_assumed=True)
+    return _SeededStream(ctx, f"from-seed({seed})", oracle, prefix)
+
+
+class _PerturbedStream(SeriesStream):
+    """A stream with `delta` added to its `base`'s t^k coefficient."""
+
+    __slots__ = ("base", "k", "delta")
+
+    def __init__(self, base, k, delta, label, oracle, support):
+        self.base, self.k, self.delta = base, k, delta
+        super().__init__(base.ctx, label, oracle,
+                         base.transcendental_assumed, support)
+
+    def realize(self, start: int, stop: int):
+        """The base's rows, with delta added at k."""
+        rows = self.base.realize(start, stop)
+        if start <= self.k < stop:
+            row = rows[self.k - start]
+            row[:] = (row + self.delta.coeffs) % self.ctx.p
+        return rows
+
+
+def _union(*supports):
+    """The merged, increasing indices of increasing iterables, each once."""
+    last = None
+    for i in merge(*supports):
+        if i != last:
+            yield i
+            last = i
 
 
 def perturb(stream: SeriesStream, k: int, delta: FieldElement) -> SeriesStream:
     """Stream with delta added to the t^k coefficient; its support, if the
-    base has one, is the base's with k merged in."""
+    base has one, is the base's with k merged in, and its realization the
+    base's with delta added at k."""
     if k < 1:
         raise ValueError("perturbation index must be >= 1 (non-unit streams)")
     delta = stream.ctx.elem(delta)
@@ -178,18 +256,13 @@ def perturb(stream: SeriesStream, k: int, delta: FieldElement) -> SeriesStream:
         return c + delta if n == k else c
 
     def support(n):
-        last = None
-        for i in merge(base_support(n), (k,) if k >= n else ()):
-            if i != last:
-                yield i
-                last = i
+        return _union(base_support(n), (k,) if k >= n else ())
 
     sign = "+" if str(delta) == "1" else f"+{delta}*"
     label = f"{stream.label}{sign}t^{k}" if k != 1 else \
         f"{stream.label}{sign}t"
-    return SeriesStream(stream.ctx, label, oracle,
-                        transcendental_assumed=stream.transcendental_assumed,
-                        support=None if base_support is None else support)
+    return _PerturbedStream(stream, k, delta, label, oracle,
+                            None if base_support is None else support)
 
 
 def builtin_streams(ctx: FieldContext) -> dict:
@@ -265,21 +338,26 @@ def parse_stream_spec(text: str, ctx: FieldContext) -> SeriesStream:
 
 def first_difference(stream_a: SeriesStream, stream_b: SeriesStream,
                      cap: int = DEFAULT_PRECISION_CAP) -> int:
-    """Smallest index where the two streams disagree; StreamsAgree if none
-    exists below the cap.  Where both streams have a support, only indices
-    in one of them are compared: elsewhere both coefficients are 0."""
+    """Smallest index where the two streams disagree among the first cap
+    indices where either may be nonzero; StreamsAgree if there is none.
+    Those are the indices below the cap unless both streams have a
+    support; then they are the first cap indices of the merged supports up
+    to EXPONENT_LIMIT, since elsewhere both coefficients are 0."""
     if stream_a.ctx is not stream_b.ctx:
         raise ContextMismatch("streams over different fields")
-    indices = range(cap)
+    indices, below = range(cap), cap
     if stream_a.support is not None and stream_b.support is not None:
-        indices = sorted({*stream_a.indices(0, cap),
-                          *stream_b.indices(0, cap)})
+        below = EXPONENT_LIMIT + 1
+        indices = list(islice(_union(stream_a.indices(0, below),
+                                     stream_b.indices(0, below)), cap))
+        if len(indices) == cap:
+            below = max(indices, default=-1) + 1
     for n in indices:
         if stream_a.coefficient(n) != stream_b.coefficient(n):
             return n
     raise StreamsAgree(
         f"streams {stream_a.label!r} and {stream_b.label!r} agree below "
-        f"index {cap}")
+        f"index {below}")
 
 
 def distinguishing_fraction(stream_a: SeriesStream, stream_b: SeriesStream,

@@ -120,8 +120,8 @@ class EmbeddingValuation:
     # -- stream realization --------------------------------------------------
 
     def _prefix(self, i: int, n: int) -> np.ndarray:
-        """At least n realized coefficients of stream i >= 1; the oracle is
-        asked only at the indices where the coefficient may be nonzero."""
+        """At least n realized coefficients of stream i >= 1, grown by one
+        realization call (see streams)."""
         arr = self._realized[i - 1]
         if arr.shape[0] >= n:
             return arr
@@ -130,13 +130,7 @@ class EmbeddingValuation:
             start = arr.shape[0]
             if start >= n:
                 return arr
-            stream = self.streams[i]
-            oracle = stream.oracle
-            at = list(stream.indices(start, n))
-            grown = np.zeros((n, self.ctx.m), dtype=np.int64)
-            grown[:start] = arr
-            if at:
-                grown[at] = [oracle(k).coeffs for k in at]
+            grown = np.concatenate([arr, self.streams[i].realize(start, n)])
             grown.setflags(write=False)
             self._realized[i - 1] = grown
             return grown

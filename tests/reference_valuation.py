@@ -9,8 +9,10 @@ agrees with it exactly, certificates and errors alike, below the cap, and
 on values and leading coefficients past it, where the reference is run at
 a larger cap.
 
-`realize` and `first_difference` ask a stream's oracle at every index, as
-the engine did before streams knew their support.
+`realize` asks a stream's oracle at every index, as the engine did before
+streams knew their support or realized a block in one call, and
+`first_difference` compares every index below the cap unless both streams
+have a support.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from charp.errors import NotInRing, PrecisionExhausted, StreamsAgree
-from charp.poly import MultiPoly
+from charp.poly import EXPONENT_LIMIT, MultiPoly
 from charp.series import TruncatedSeries, substitute_series
 from charp.valuation import EmbeddingValuation
 
@@ -67,11 +69,19 @@ def realize(stream, n: int) -> np.ndarray:
 
 
 def first_difference(stream_a, stream_b, cap: int) -> int:
-    """The first index below the cap where the streams differ, comparing
-    every index."""
-    for n in range(cap):
+    """The first index where the streams differ, comparing every index
+    below the cap, or, where both have a support, the first cap indices of
+    the union of their supports up to EXPONENT_LIMIT."""
+    indices, below = range(cap), cap
+    if stream_a.support is not None and stream_b.support is not None:
+        limit = EXPONENT_LIMIT + 1
+        union = sorted(set(stream_a.indices(0, limit)) |
+                       set(stream_b.indices(0, limit)))
+        indices = union[:cap]
+        below = indices[-1] + 1 if len(union) >= cap else limit
+    for n in indices:
         if stream_a.coefficient(n) != stream_b.coefficient(n):
             return n
     raise StreamsAgree(
         f"streams {stream_a.label!r} and {stream_b.label!r} agree below "
-        f"index {cap}")
+        f"index {below}")

@@ -12,6 +12,8 @@ import pytest
 
 from charp import cli, errors
 from charp.cli import build_parser, main
+from charp.parser import POWER_BUDGET
+from charp.poly import MultiPoly
 from charp.valuation import WALK_BUDGET, _Sparse
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -595,6 +597,39 @@ class TestBehaviors:
         # it parsed for 5.4 s of CPU while each piece had its own budget
         assert time.process_time() - start < 3
 
+    @pytest.mark.parametrize("lists", [("x", "x,@"), ("x;@", "x")])
+    def test_list_error_positions_index_the_argument(self, capsys, lists):
+        g, J = lists
+        code, out, err = run_cli(
+            capsys, f"cartier compat --p 2 --vars 1 --e 1 -g '{g}' -J '{J}'")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "PolySyntaxError",
+            "message": "unexpected character '@' (at position 2)"}
+
+    def test_list_items_share_one_budget(self, capsys, monkeypatch):
+        """Eight items that each fit the budget are refused together, and
+        the term products parsing does before the refusal stay within it."""
+        products = []
+        mul = MultiPoly.__mul__
+
+        def counting_mul(a, b):
+            if isinstance(b, MultiPoly):
+                products.append(len(a.terms) * len(b.terms))
+            return mul(a, b)
+
+        monkeypatch.setattr(MultiPoly, "__mul__", counting_mul)
+        item = "(x+y+z+1)^20*(x+y+z+1)^3"
+        code, out, err = run_cli(
+            capsys, "cartier compat --p 1048573 --vars 3 --e 1 -g x "
+            f"-J '{','.join([item] * 8)}'")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["message"].startswith(
+            "parse takes more than 200000 term products in all")
+        assert 0 < sum(products) <= POWER_BUDGET
+
 
 class TestPastTheCap:
     """Gap-stream values the dense ladder cannot reach below the cap are
@@ -621,14 +656,34 @@ class TestPastTheCap:
         assert code == 0
         assert out == expected + "\n"
 
-    def test_distinguish_past_the_cap(self, capsys):
+    @pytest.mark.parametrize("k", [3000, 5000])
+    def test_distinguish_past_the_cap(self, capsys, k):
         code, out, _ = run_cli(
             capsys, "dvr distinguish --p 2 --stream-a lacunary "
-            "--stream-b lacunary+t^3000")
+            f"--stream-b lacunary+t^{k}")
         assert code == 0
         got = json.loads(out)
         assert (got["i"], got["in_ring_a"], got["in_ring_b"]) == \
-            (3000, False, True)
+            (k, False, True)
+
+    def test_report_separates_streams_past_the_cap(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "report dvr --p 2 --stream lacunary "
+            "--versus 'lacunary+t^5000' --samples 3")
+        assert code == 0
+        witness, = [item["witness"] for item in json.loads(out)["evidence"]
+                    if "separated" in item["claim"]]
+        assert (witness["i"], witness["inside_ring_of"],
+                witness["outside_ring_of"]) == \
+            (5000, "lacunary+t^5000", "lacunary")
+
+    def test_support_streams_that_agree_still_raise(self, capsys):
+        code, out, err = run_cli(
+            capsys, "dvr distinguish --p 3 --stream-a lacunary "
+            "--stream-b 'lacunary+t^5000-t^5000'")
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "StreamsAgree"
 
     @pytest.mark.parametrize("cmdline,reason", [
         # s = geometric-gap(2) satisfies s^2 + s + t^2 = 0 at p = 2

@@ -61,9 +61,12 @@ VAL = ["val", "--p", "2", "--stream", "lacunary", "y-x-x^2"]
     "import charp\ncharp.first_difference\ncharp.distinguishing_fraction",
     run_main(["val", "--p", "2", "--stream", "nosuch(1)", "y"], code=2),
     run_main(["report", "dvr", "--p", "3", "--stream", "nosuch(2)"], code=2),
+    "import charp.streams\nfrom charp.ffield import make_context\n"
+    "s = charp.streams.from_seed(make_context(5, 3), 7)\ns.coefficient(9)",
 ], ids=["import", "decompose", "cartier-apply", "report-poly-ring",
         "selftest", "frobenius-matrix-inverse", "distinguish-agreeing",
-        "stream-comparison", "val-bad-stream", "report-dvr-bad-stream"])
+        "stream-comparison", "val-bad-stream", "report-dvr-bad-stream",
+        "build-seeded-stream"])
 def test_work_without_series_loads_no_numpy(code):
     assert loaded_after(code) == []
 

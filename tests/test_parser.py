@@ -8,8 +8,8 @@ import charp.parser
 import reference_parser as reference
 from charp.errors import ExponentOverflow, PolySyntaxError
 from charp.ffield import make_context
-from charp.parser import (MAX_NESTING, _power_products, _terms, parse_poly,
-                          parse_rational)
+from charp.parser import (MAX_NESTING, _power_products, _terms, parse_list,
+                          parse_poly, parse_rational)
 from charp.poly import MultiPoly, RationalFn, format_poly, random_poly
 
 
@@ -273,6 +273,28 @@ class TestParseRational:
         assert info.value.position == 1
 
 
+class TestParseList:
+    def test_items_in_order(self, f2):
+        assert parse_list("x^2, y ,x*y", f2, 2, ",") == [
+            parse_poly(t, f2, 2) for t in ("x^2", "y", "x*y")]
+        assert parse_list("x+1", f2, 2, ";") == [parse_poly("x+1", f2, 2)]
+
+    @pytest.mark.parametrize("text,separator,message,position", [
+        ("x,@", ",", "unexpected character '@'", 2),
+        ("x;y^2^3", ";", "unexpected trailing input", 5),
+        ("x,,y", ",", "expected a number, variable, or '\\('", 2),
+        ("x,", ",", "expected a number, variable, or '\\('", 2),
+        ("(x,y)", ",", "unexpected character ','", 2),
+        ("x,y;z", ",", "unexpected character ';'", 3),
+        ("x/y", ";", "unexpected character '/'", 1),
+    ])
+    def test_positions_index_the_whole_argument(self, f2, text, separator,
+                                                message, position):
+        with pytest.raises(PolySyntaxError, match=message) as info:
+            parse_list(text, f2, 2, separator)
+        assert info.value.position == position
+
+
 CONTEXTS = [make_context(2), make_context(3), make_context(2, 2)]
 
 _atoms = st.sampled_from(["x", "y", "u", "0", "1", "2", "3"])
@@ -328,6 +350,28 @@ def test_denominator_fault_positions_agree(ctx, num, den, data):
 
 _PIECES = list("xyzu0123456789+-*^()/ ") + ["\u00b2", "\u0663", "_", "@",
                                             "1" * 4301]
+
+
+@settings(max_examples=100, deadline=None)
+@given(ctx=st.sampled_from(CONTEXTS),
+       items=st.lists(_exprs, min_size=1, max_size=4),
+       separator=st.sampled_from([",", ";"]))
+def test_list_reads_as_its_items_one_by_one(ctx, items, separator):
+    """A list parses to what its items parse to alone, or fails where its
+    first failing item fails, counted from the start of the list."""
+    want, offset = [], 0
+    for item in items:
+        got = _outcome(parse_poly, item, ctx)
+        if isinstance(got, PolySyntaxError):
+            want = (str(got).rsplit(" (at", 1)[0], got.position + offset)
+            break
+        want.append(got)
+        offset += len(item) + 1
+    try:
+        got = parse_list(separator.join(items), ctx, 2, separator)
+    except PolySyntaxError as exc:
+        got = (str(exc).rsplit(" (at", 1)[0], exc.position)
+    assert got == want
 
 
 @settings(max_examples=300, deadline=None)

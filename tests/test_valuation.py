@@ -284,7 +284,7 @@ def catalog_and_perturbations(ctx):
 
 
 class TestRealization:
-    @pytest.mark.parametrize("p, m", [(2, 1), (3, 2), (1048573, 3)])
+    @pytest.mark.parametrize("p, m", [(2, 1), (3, 2), (5, 3), (1048573, 3)])
     def test_matches_index_by_index_realization(self, p, m):
         """Realized in several steps, each prefix equals the one an oracle
         call per index gives."""
@@ -306,6 +306,50 @@ class TestRealization:
         asked.clear()  # the unit check asks for index 0
         V.images(4096)
         assert asked == [1, 2, 6, 24, 120, 720]
+
+    @pytest.mark.parametrize("spec", ["from-seed(7)", "from-seed(7)+t^5"])
+    def test_seeded_blocks_ask_no_oracle(self, spec):
+        """Only the image's order is read from the oracle; the prefix is
+        realized from the digests."""
+        ctx = make_context(5, 3)
+        s = parse_stream_spec(spec, ctx)
+        asked = []
+        oracle = s.oracle
+        s.oracle = lambda n: asked.append(n) or oracle(n)
+        V = EmbeddingValuation(ctx, [s])
+        assert asked == list(range(V._orders[1] + 1))
+        V.images(4096)
+        assert asked == list(range(V._orders[1] + 1))
+
+
+@st.composite
+def seeded_growth(draw):
+    """A from-seed stream with zero to two perturbations, some cancelling,
+    and the 1-4 increasing lengths its prefix grows through to 4096."""
+    ctx = make_context(*draw(st.sampled_from(
+        [(2, 1), (2, 3), (3, 2), (5, 1), (5, 3), (1048573, 1),
+         (1048573, 3)])))
+    s = from_seed(ctx, draw(st.integers(0, 2 ** 32 - 1)))
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(1, 5000))
+        delta = draw(st.one_of(st.just(-s.coefficient(k)),
+                               st.integers(1, ctx.p - 1)))
+        if delta:
+            s = perturb(s, k, ctx.elem(delta))
+    steps = sorted(draw(st.sets(st.integers(1, 4095), max_size=3)))
+    return s, steps + [4096]
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeded_growth())
+def test_seeded_prefix_matches_the_oracle(growth):
+    s, lengths = growth
+    V = EmbeddingValuation(s.ctx, [s])
+    want = reference_valuation.realize(s, 4096)
+    for n in lengths:
+        got = V._prefix(1, n)
+        assert got.shape[0] == n
+        assert np.array_equal(got, want[:n]), (s.label, n)
 
 
 @st.composite
