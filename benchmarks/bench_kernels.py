@@ -2,8 +2,11 @@
 """Benchmark the truncated-series product.
 
 Times the raw series product at several precisions and extension degrees,
-then a realistic valuation workload (deep lacunary gap, forcing precision
-escalation to 1024).
+then a sweep over n of each branch series_mul can take on dense factors
+(np.convolve, the packed FFT, and the row walk per nonzero row), with the
+cost series_mul's rule predicts for the last two; the branch constants of
+charp._kernels are read from that sweep.  Last, a realistic valuation
+workload (deep lacunary gap, forcing precision escalation to 1024).
 """
 
 import argparse
@@ -11,11 +14,16 @@ import time
 
 import numpy as np
 
+from charp import _kernels
 from charp._kernels import series_mul
 from charp.ffield import make_context
 from charp.parser import parse_poly
 from charp.streams import lacunary
 from charp.valuation import EmbeddingValuation
+
+SWEEP_FIELDS = [(2, 1), (1048573, 1), (5, 3), (1048573, 3)]
+SWEEP_N = (32, 64, 128, 256, 512, 1024, 2048, 4096)
+WALK_ROWS = 16  # nonzero rows of the walked factor in the sweep
 
 
 def _random_series(rng, n, m, p, density=1.0):
@@ -36,13 +44,13 @@ def time_call(fn, *args, repeats=5):
 
 
 def bench_mul(repeats):
-    # dense rows show numpy's convolve at its best; the sparse rows are the
-    # shape valuation workloads actually have (gap series keep a handful of
-    # nonzero coefficients)
+    # dense rows show the dense branches; the sparse rows are the shape
+    # valuation workloads often have (gap series keep a handful of nonzero
+    # coefficients)
     rng = np.random.default_rng(42)
-    print(f"{'case':<32}{'time':>12}")
+    print(f"{'case':<36}{'time':>12}")
     cases = []
-    for p, m in [(2, 1), (5, 1), (2, 2)]:
+    for p, m in [(2, 1), (5, 1), (2, 2), (1048573, 1), (1048573, 3)]:
         for n in (256, 1024, 4096):
             cases.append((p, m, n, 1.0))
     for n in (1024, 4096):
@@ -55,7 +63,41 @@ def bench_mul(repeats):
         elapsed = time_call(series_mul, a, b, table, p, n, repeats=repeats)
         kind = "dense" if density == 1.0 else "sparse"
         label = f"mul p={p} m={m} N={n} {kind}"
-        print(f"{label:<32}{elapsed * 1e3:>10.2f}ms")
+        print(f"{label:<36}{elapsed * 1e3:>10.3f}ms")
+
+
+def bench_sweep(repeats):
+    """Each branch on two dense factors of n rows: convolve and FFT in ms
+    (the FFT with its limb count k), the walk in us per nonzero row of a
+    factor with WALK_ROWS of them, each next to the cost series_mul's rule
+    predicts, and the branch series_mul takes on the two dense factors."""
+    rng = np.random.default_rng(7)
+    print(f"\n{'sweep':<22}{'convolve':>10}{'fft':>10}{'(model)':>9}"
+          f"{'k':>3}{'walk/row':>11}{'(model)':>9}  branch")
+    for p, m in SWEEP_FIELDS:
+        ctx = make_context(p, m)
+        table = ctx.scaling_array
+        for n in SWEEP_N:
+            a = _random_series(rng, n, m, p)
+            b = _random_series(rng, n, m, p)
+            conv = time_call(_kernels.convolve_columns, a, b, p, n,
+                             repeats=repeats)
+            fft = time_call(_kernels.fft_columns, a, b, p, n,
+                            repeats=repeats)
+            size, k, _ = _kernels.fft_plan(n, n, m, p)
+            fft_model = (_kernels.FFT_CALL_NS
+                         + (4 * k - 1) * size * _kernels.FFT_POINT_NS)
+            rows = np.sort(rng.choice(n, min(WALK_ROWS, n), replace=False))
+            walk = time_call(_kernels.walk_rows, a, rows, b, table, p, n,
+                             repeats=repeats) / rows.size
+            walk_model = (_kernels.WALK_ROW_NS
+                          + n * m * m * _kernels.WALK_ENTRY_NS)
+            branch = ("convolve" if m * m * n * n < _kernels.CONVOLVE_PRODUCTS
+                      else "fft")
+            label = f"p={p} m={m} n={n}"
+            print(f"{label:<22}{conv * 1e3:>8.3f}ms{fft * 1e3:>8.3f}ms"
+                  f"{fft_model * 1e-6:>7.3f}ms{k:>3}{walk * 1e6:>9.2f}us"
+                  f"{walk_model * 1e-3:>7.2f}us  {branch}")
 
 
 def bench_valuation(repeats):
@@ -78,6 +120,7 @@ def main():
     ap.add_argument("--repeats", type=int, default=5)
     args = ap.parse_args()
     bench_mul(args.repeats)
+    bench_sweep(args.repeats)
     bench_valuation(args.repeats)
 
 

@@ -4,7 +4,8 @@ Subcommands: decompose, cartier (apply | compose | split-check | compat),
 val, dvr distinguish, report (poly-ring | dvr), selftest.  Output is
 compact JSON on stdout by default; --pretty renders aligned text.  Exit
 codes: 0 success, 1 mathematical failure (precision exhausted, identical
-streams, non-solid map, size bounds), 2 usage or parse errors.
+streams, non-solid map, size bounds), 2 usage or parse errors, 141 when
+stdout is closed before the output is written.
 """
 
 from __future__ import annotations
@@ -39,6 +40,9 @@ USAGE_ERRORS = (NotPrime, DegreeTooLarge, PolySyntaxError, ContextMismatch,
 MAX_VARS = 1000
 MAX_PRECISION = 2 ** 20
 MAX_COUNT = 10_000
+# exit code when the reader of stdout is gone: 128 + SIGPIPE, as a shell
+# reports a process that signal ends
+EXIT_BROKEN_PIPE = 141
 
 
 def _int_range(low=None, high=None):
@@ -341,7 +345,16 @@ def main(argv=None) -> int:
         payload = payload.render_text() if args.pretty else payload.to_json()
     elif isinstance(payload, dict):
         payload = _pretty_flat(payload) if args.pretty else _json(payload)
-    print(payload)
+    try:
+        print(payload)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; send what is left to devnull
+        # so that flush cannot fail as well
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     return 0
 
 

@@ -192,9 +192,10 @@ class _Powers:
     A power already known to a higher precision is truncated; one known
     only to a lower precision is recomputed and replaces it.  A power with
     fewer than 1/8 nonzero rows, the share below which series_mul walks
-    rows instead of convolving, is stored as those rows.  Every power a
-    substitution computes is stored while it runs; when it is done, trim()
-    empties the memo if it holds more than MEMO_ROWS rows.
+    rows instead of convolving a small product, is stored as those rows.
+    Every power a substitution computes is stored while it runs; when it
+    is done, trim() empties the memo if it holds more than MEMO_ROWS
+    rows.
     Entries are replaced whole under a lock, so concurrent callers only
     ever find exact entries, perhaps too short ones.
 

@@ -259,6 +259,38 @@ class TestExitCodes:
         payload = json.loads(err)
         assert payload["error"] == "NotPrime"
 
+    def test_closed_stdout_exits_141_without_traceback(self):
+        """The reader of stdout is gone before charp writes: no traceback,
+        and the exit code a shell gives a process SIGPIPE ends."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "charp.cli", "report", "dvr", "--p",
+                 "2", "--stream", "lacunary", "--samples", "3"],
+                env=env, stdout=write_end, stderr=subprocess.PIPE,
+                timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
+        assert proc.stderr == b""
+
+    def test_dense_many_term_power_ends_cleanly(self, capsys):
+        """(y-x^3)^500 (501 terms, value 4500) vanishes through the dense
+        ladder to the cap and is then refused on the walk's budget."""
+        code, out, err = run_cli(
+            capsys, "val --p 1048573 --stream 'geometric-gap(3)' "
+            "'(y-x^3)^500'")
+        assert (code, out) == (1, "")
+        f = cli.parse_poly("(y-x^3)^500", cli.make_context(1048573), 2)
+        assert err == cli._json({
+            "error": "PrecisionExhausted",
+            "message": f"image of {f} vanishes modulo t^4096; certifying "
+                       f"further takes more than {WALK_BUDGET} term "
+                       "products"}) + "\n"
+
 
 def leaf_commands(parser, path=()):
     """(argv prefix, parser) for every runnable subcommand."""

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from decimal import Decimal, getcontext
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charp import _kernels
+from charp.cli import MAX_PRECISION
 from charp.errors import PrecisionMismatch
 from charp.ffield import make_context
 from charp.parser import parse_poly
@@ -27,6 +29,21 @@ def naive_mul(a: TruncatedSeries, b: TruncatedSeries, n: int):
         for j in range(min(b.precision, n - i)):
             out[i + j] = out[i + j] + ai * b.element_at(j)
     return TruncatedSeries.from_elements(ctx, out)
+
+
+def convolve_product(a, b, ctx, nout):
+    """Oracle for series_mul on arrays: one int64 np.convolve per pair of
+    residue columns, columns past u^(m-1) reduced through the table."""
+    m, p = ctx.m, ctx.p
+    wide = np.zeros((nout, 2 * m - 1), dtype=np.int64)
+    a, b = a[:nout], b[:nout]
+    if a.size and b.size:
+        for ju in range(m):
+            for jv in range(m):
+                conv = np.convolve(a[:, ju], b[:, jv])[:nout]
+                wide[:conv.shape[0], ju + jv] += conv
+    wide %= p
+    return (wide[:, :m] + wide[:, m:] @ ctx.scaling_array[m - 1, 1:]) % p
 
 
 def random_series(ctx, n, rng, density=0.5):
@@ -69,7 +86,90 @@ class TestKernels:
         a, b = operand(), operand()
         got = _kernels.series_mul(a.coeffs, b.coeffs, ctx.scaling_array,
                                   ctx.p, nout)
-        assert np.array_equal(got, naive_mul(a, b, nout).coeffs)
+        expected = naive_mul(a, b, nout).coeffs
+        assert np.array_equal(got, expected)
+        assert np.array_equal(
+            convolve_product(a.coeffs, b.coeffs, ctx, nout), expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_large_products_match_convolution(self, data):
+        """Up to 4096 rows, where series_mul takes the FFT product or
+        walks rows by its cost rule: dense, sparse and all-(p-1) operands
+        of unequal lengths, squarings included, truncated anywhere up to
+        the whole product, equal the int64 np.convolve product."""
+        draw = data.draw
+        ctx = make_context(*draw(st.sampled_from(
+            [(2, 1), (5, 3), (1048573, 3)])))
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+        def operand():
+            e = draw(st.integers(8, 12))  # n log-uniform in 129..4096
+            n = draw(st.integers((1 << e) // 2 + 1, 1 << e))
+            kind = draw(st.sampled_from(["dense", "sparse", "top"]))
+            if kind == "top":
+                return np.full((n, ctx.m), ctx.p - 1, dtype=np.int64)
+            arr = rng.integers(0, ctx.p, size=(n, ctx.m), dtype=np.int64)
+            if kind == "sparse":
+                arr[rng.random(n) >= draw(st.sampled_from(
+                    [0.002, 0.02, 0.1, 0.3]))] = 0
+            return arr
+
+        a = operand()
+        b = a if draw(st.booleans()) else operand()
+        longest, full = max(a.shape[0], b.shape[0]), a.shape[0] + b.shape[0]
+        nout = draw(st.one_of(st.just(longest), st.just(full),
+                              st.integers(1, longest)))
+        got = _kernels.series_mul(a, b, ctx.scaling_array, ctx.p, nout)
+        assert np.array_equal(got, convolve_product(a, b, ctx, nout))
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_limb_width_keeps_percival_bound_under_budget(self, m):
+        """For every p < 2^20 (the plan depends on p only through the bit
+        length of p - 1, so p = 2^bits stands for the worst residues of
+        each length) and every n up to the largest precision the CLI
+        accepts, Percival's bound, recomputed here in 60-digit decimals,
+        stays under ERROR_BUDGET, and every exact output fits a float64
+        mantissa."""
+        getcontext().prec = 60
+        eps = Decimal(2) ** -53
+        for bits in range(1, 21):
+            p = 2 ** bits
+            n = 1
+            while n <= MAX_PRECISION:
+                size, k, w = _kernels.fft_plan(n, n, m, p)
+                assert size >= (2 * n - 1) * (2 * m - 1) and k * w >= bits
+                lg = size.bit_length() - 1
+                assert size == 2 ** lg
+                error = ((1 + eps) ** (6 * lg)
+                         * (1 + eps * Decimal(5).sqrt()) ** (3 * lg + 1) - 1)
+                norms = n * m * (2 ** w - 1) ** 2
+                assert k * norms * error < Decimal(_kernels.ERROR_BUDGET)
+                assert k * norms < 2 ** 53
+                n *= 2
+
+    def test_guard_recomputes_a_rounded_product(self, monkeypatch):
+        """With one 20-bit limb the FFT's rounding errors pass 1/4, and the
+        product comes exactly from np.convolve instead."""
+        ctx = make_context(1048573)
+        rng = np.random.default_rng(3)
+        a = rng.integers(0, ctx.p, size=(4096, 1), dtype=np.int64)
+        b = rng.integers(0, ctx.p, size=(4096, 1), dtype=np.int64)
+        plan = _kernels.fft_plan
+        monkeypatch.setattr(_kernels, "fft_plan",
+                            lambda *args: plan(*args)[:1] + (1, 20))
+        assert _kernels.fft_columns(a, b, ctx.p, 4096) is None
+        fallbacks = []
+        convolve = _kernels.convolve_columns
+
+        def counting(*args):
+            fallbacks.append(args[-1])
+            return convolve(*args)
+
+        monkeypatch.setattr(_kernels, "convolve_columns", counting)
+        got = _kernels.series_mul(a, b, ctx.scaling_array, ctx.p, 4096)
+        assert fallbacks == [4096]
+        assert np.array_equal(got, convolve_product(a, b, ctx, 4096))
 
     def test_truncation_consistency(self, rng):
         ctx = make_context(3)
