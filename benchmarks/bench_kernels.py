@@ -5,8 +5,10 @@ Times the raw series product at several precisions and extension degrees,
 then a sweep over n of each branch series_mul can take on dense factors
 (np.convolve, the packed FFT, and the row walk per nonzero row), with the
 cost series_mul's rule predicts for the last two; the branch constants of
-charp._kernels are read from that sweep.  Last, a realistic valuation
-workload (deep lacunary gap, forcing precision escalation to 1024).
+charp._kernels are read from that sweep.  Then a realistic valuation
+workload (deep lacunary gap, forcing precision escalation to 1024), and
+last three support walks past the precision cap, each a sparse
+substitution per rung charged against WALK_BUDGET.
 """
 
 import argparse
@@ -16,14 +18,22 @@ import numpy as np
 
 from charp import _kernels
 from charp._kernels import series_mul
+from charp.errors import PrecisionExhausted
 from charp.ffield import make_context
 from charp.parser import parse_poly
-from charp.streams import lacunary
+from charp.streams import lacunary, parse_stream_spec
 from charp.valuation import EmbeddingValuation
 
 SWEEP_FIELDS = [(2, 1), (1048573, 1), (5, 3), (1048573, 3)]
 SWEEP_N = (32, 64, 128, 256, 512, 1024, 2048, 4096)
 WALK_ROWS = 16  # nonzero rows of the walked factor in the sweep
+# support walks: (p, m, image streams, cap, polynomial)
+WALKS = [
+    (1048573, 3, ("geometric-gap(3)",), 16, "(y+x^2)^400"),
+    (2, 1, ("lacunary",), 4096, "(y-x-x^2-x^6-x^24-x^120-x^720)^256"),
+    (1048573, 1, ("lacunary-shift(1)", "lacunary+t"), 17,
+     "y-x^2-x^3-x^7-x^25-x^121+y^38*z^47"),
+]
 
 
 def _random_series(rng, n, m, p, density=1.0):
@@ -115,6 +125,34 @@ def bench_valuation(repeats):
           f"{best * 1e3:.1f}ms")
 
 
+def bench_walks(repeats):
+    """CPU of one certification past the cap on a warm valuation; the two
+    refusals run past the walk's budget."""
+    print()
+    for p, m, streams, cap, text in WALKS:
+        ctx = make_context(p, m)
+        V = EmbeddingValuation(
+            ctx, [parse_stream_spec(s, ctx) for s in streams], cap)
+        f = parse_poly(text, ctx, V.nvars)
+
+        def run():
+            try:
+                return V.valuate_with_certificate(f)
+            except PrecisionExhausted as exc:
+                return f"refused at t^{exc.last_precision}"
+
+        outcome = run()  # warm the ladder's power memos
+        best = min(time_cpu(run) for _ in range(repeats))
+        label = f"walk p={p} m={m} cap={cap} {text}"
+        print(f"{label:<64}{best * 1e3:>8.2f}ms  {outcome}")
+
+
+def time_cpu(fn):
+    t0 = time.process_time()
+    fn()
+    return time.process_time() - t0
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--repeats", type=int, default=5)
@@ -122,6 +160,7 @@ def main():
     bench_mul(args.repeats)
     bench_sweep(args.repeats)
     bench_valuation(args.repeats)
+    bench_walks(args.repeats)
 
 
 if __name__ == "__main__":

@@ -41,7 +41,6 @@ __version__ = "0.1.0"
 _LAZY = {
     "TruncatedSeries": "series", "substitute_series": "series",
     "EmbeddingValuation": "valuation", "INFINITY": "valuation",
-    "order": "valuation",
 }
 _LAZY_MODULES = ("series", "valuation", "_kernels")
 
@@ -62,7 +61,7 @@ __all__ = [
     "SeriesStream", "builtin_streams", "from_seed", "geometric_gap",
     "lacunary", "lacunary_shift", "parse_stream_spec", "perturb", "t_stream",
     "EmbeddingValuation", "INFINITY", "distinguishing_fraction",
-    "first_difference", "order",
+    "first_difference",
     "ExcellenceReport", "IMPLICATIONS", "THEOREMS", "dvr_report",
     "f_finite_report", "solidity_witness",
     "__version__",

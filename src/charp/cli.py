@@ -139,10 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_val = _command(sub, "val", _val, "--vars", "--stream", "--precision-cap",
                      help="valuate a polynomial or fraction", vars=2)
-    p_val.add_argument("--poly", dest="poly_flag", default=None,
-                       help="polynomial or num/den (alternative to the "
-                            "positional form)")
-    p_val.add_argument("poly", nargs="?", default=None,
+    p_val.add_argument("poly",
                        help="polynomial or num/den ('-' reads stdin)")
 
     p_dvr = sub.add_parser("dvr", help="compare embedding valuation rings")
@@ -244,12 +241,9 @@ def _compat(args, ctx):
 
 
 def _val(args, ctx):
-    if (args.poly is None) == (args.poly_flag is None):
-        raise ValueError("give the input either positionally or via --poly")
-    text = args.poly if args.poly is not None else args.poly_flag
     V = _valuation(args, ctx)
     from .valuation import INFINITY
-    r = parse_rational(_read_poly_arg(text), ctx, args.vars)
+    r = parse_rational(_read_poly_arg(args.poly), ctx, args.vars)
     if r.den == MultiPoly.const(ctx, args.vars, 1):
         value, cert = V.valuate_with_certificate(r.num)
     else:

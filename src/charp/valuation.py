@@ -17,8 +17,10 @@ images.  Every term of f(t, s) - f(t, P_d) holds a factor R_d, so it has
 order at least r: if the exact polynomial f(t, P_d) is nonzero modulo t^r,
 its order is v(f), its lowest coefficient is exact, and r is the certified
 precision.  The walk starts at the first r above both the cap and the
-term-order bound, computes f(t, P_d) modulo t^r with sparse products, and
-raises d one support index at a time.  Below the cap only the dense ladder
+term-order bound, computes f(t, P_d) modulo t^r, and raises d one support
+index at a time.  That is the ladder's substitute_series at precision r,
+over the sparse images of t and P_d, with every term product charged
+against WALK_BUDGET (see series.Budget).  Below the cap only the dense ladder
 certifies, so every certificate it gives is unchanged.  An image's own
 order is read from the first cap indices where it may be nonzero: those
 below the cap for an image without a support, and its support for a gap
@@ -28,8 +30,8 @@ Exhausting the cap raises instead of guessing when an image has no support
 (a from-seed or t image), when the walk's next support index would pass
 EXPONENT_LIMIT, which a nonzero image of an algebraic stream such as
 geometric-gap(p^k) cannot always outrun and a kernel element never does,
-or when the walk's term products run past WALK_BUDGET.  The error carries
-the highest precision at which the image was seen to vanish.
+or when the walk runs past WALK_BUDGET.  The error carries the highest
+precision at which the image was seen to vanish.
 
 Two embeddings are told apart constructively: if the image series first
 differ at coefficient index i, the fraction x^i / (y - (a_0 + a_1 x + ...
@@ -49,11 +51,10 @@ from operator import mul
 
 import numpy as np
 
-from ._kernels import frobenius_rows, scale, scalings
-from .errors import ContextMismatch, NotInRing, PrecisionExhausted
+from .errors import ContextMismatch, NotInRing, PrecisionExhausted, SizeBound
 from .ffield import FieldContext, FieldElement
 from .poly import EXPONENT_LIMIT, MultiPoly, RationalFn
-from .series import TruncatedSeries, _Powers, substitute_series
+from .series import Budget, TruncatedSeries, _Powers, substitute_series
 from .streams import DEFAULT_PRECISION_CAP, SeriesStream, t_stream
 # stream comparison needs no series; it lives in streams, and is also
 # importable from here
@@ -68,12 +69,6 @@ START_PRECISION = 16
 # is linear in them: on a 2-vCPU x86 VM, a walk refused at this budget took
 # 0.04 s of CPU at p = 1048573, m = 3, and one refused at ten times it 0.55 s.
 WALK_BUDGET = 200_000
-
-
-def order(s: TruncatedSeries):
-    """t-adic order of a truncated series: first nonzero index, or None
-    (inconclusive) when all known coefficients vanish."""
-    return s.order()
 
 
 class EmbeddingValuation:
@@ -199,22 +194,23 @@ class EmbeddingValuation:
                  for s in streams]
         supports = [s.support(d) for s in streams]
         heads = [next(support, INFINITY) for support in supports]
-        sparse = _Sparse(self.ctx, WALK_BUDGET)
+        budget = Budget(WALK_BUDGET)
         while True:
             r = min(heads, default=INFINITY)
             if r > EXPONENT_LIMIT:
                 reason = "the series images may satisfy an algebraic relation"
                 break
+            images = [_sparse(self.ctx, y, r) for y in [{1: self.ctx.one}]
+                      + terms]
             try:
-                image = sparse.substitute(f, terms, r)
-            except _OutOfBudget:
+                image = substitute_series(f, images, r, budget=budget)
+            except SizeBound:
                 reason = (f"certifying further takes more than {WALK_BUDGET} "
                           "term products")
                 break
-            exps, rows = image
-            if exps.size:
-                lead = FieldElement(self.ctx, tuple(map(int, rows[0])))
-                return int(exps[0]), r, lead
+            v = image.order()
+            if v is not None:
+                return v, r, image.element_at(v)
             last = r
             for j, s in enumerate(streams):
                 if heads[j] == r:
@@ -286,115 +282,9 @@ class EmbeddingValuation:
         return f"EmbeddingValuation([{labels}], cap={self.precision_cap})"
 
 
-def _truncate(s, n: int):
-    """A sparse series (exponents, rows) modulo t^n."""
-    cut = np.searchsorted(s[0], n)
-    return s[0][:cut], s[1][:cut]
-
-
-class _OutOfBudget(Exception):
-    """The sparse products of one walk ran past their budget."""
-
-
-class _Sparse:
-    """Sparse series modulo t^n, each a pair of a sorted exponent array and
-    its (k, m) array of residue rows: products, powers and substitution,
-    each charged the term products it takes against a budget."""
-
-    def __init__(self, ctx: FieldContext, budget: int):
-        self.ctx = ctx
-        self.left = budget
-
-    def _charge(self, products: int):
-        self.left -= products
-        if self.left < 0:
-            raise _OutOfBudget
-
-    def series(self, terms: dict):
-        """The pair for {exponent: FieldElement}."""
-        exps = sorted(terms)
-        rows = [terms[e].coeffs for e in exps]
-        return (np.array(exps, dtype=np.int64),
-                np.array(rows, dtype=np.int64).reshape(-1, self.ctx.m))
-
-    def _collect(self, exps: list, rows: list):
-        """The sum of the given terms, without zero rows."""
-        if not exps:
-            return self.series({})
-        exps, at = np.unique(np.concatenate(exps), return_inverse=True)
-        out = np.zeros((exps.size, self.ctx.m), dtype=np.int64)
-        np.add.at(out, at, np.concatenate(rows))
-        out %= self.ctx.p
-        keep = out.any(axis=1)
-        return exps[keep], out[keep]
-
-    def mul(self, a, b, n: int):
-        """a * b modulo t^n, charged the term products below t^n."""
-        if a[0].size > b[0].size:
-            a, b = b, a
-        (ae, ar), (be, br) = a, b
-        lims = np.searchsorted(be, n - ae).tolist()
-        self._charge(sum(lims))
-        ctx = self.ctx
-        matrices = scalings(ctx.scaling_array, ctx.p, ar)
-        exps, rows = [], []
-        for i, matrix, lim in zip(ae.tolist(), matrices, lims):
-            if lim:
-                exps.append(be[:lim] + i)
-                rows.append(scale(br[:lim], matrix) % ctx.p)
-        return self._collect(exps, rows)
-
-    def power(self, y, k: int, n: int, memo: dict):
-        """y^k modulo t^n for k >= 1, memoized in memo as k -> (n, y^k).
-
-        As for dense series, Y^k = Y^(k mod p) * F(Y^(k div p)) with F the
-        Frobenius stretch, which needs Y^(k div p) only modulo t^ceil(n/p).
-        """
-        if not y[0].size or int(y[0][0]) * k >= n:
-            return self.series({})
-        known = memo.get(k)
-        if known is not None and known[0] >= n:
-            return _truncate(known[1], n)
-        ctx = self.ctx
-        if k == 1:
-            out = _truncate(y, n)
-        elif k < ctx.p:
-            half = self.power(y, k // 2, n, memo)
-            out = self.mul(half, half, n)
-            if k & 1:
-                out = self.mul(out, self.power(y, 1, n, memo), n)
-        else:
-            q, d = divmod(k, ctx.p)
-            exps, rows = self.power(y, q, -(-n // ctx.p), memo)
-            self._charge(exps.size)
-            out = exps * ctx.p, frobenius_rows(ctx, rows)
-            if d:
-                out = self.mul(self.power(y, d, n, memo), out, n)
-        memo[k] = (n, out)
-        return out
-
-    def substitute(self, f: MultiPoly, images, n: int):
-        """f(t, images) modulo t^n; terms are grouped by their exponents
-        past x's, as in substitute_series."""
-        ctx = self.ctx
-        groups: dict = {}
-        for exp, c in f.terms.items():
-            if exp[0] < n:
-                groups.setdefault(exp[1:], []).append((exp[0], c))
-        images = [self.series(y) for y in images]
-        memos = [{} for _ in images]
-        exps, rows = [], []
-        for rest, group in groups.items():
-            need = n - min(a for a, _ in group)
-            prod = self.series({0: ctx.one})
-            for y, e, memo in zip(images, rest, memos):
-                if e and prod[0].size:
-                    prod = self.mul(prod, self.power(y, e, need, memo), need)
-            self._charge(prod[0].size * len(group))
-            matrices = scalings(ctx.scaling_array, ctx.p,
-                                [c.coeffs for _, c in group])
-            for (a, _), matrix in zip(group, matrices):
-                cut = np.searchsorted(prod[0], n - a)
-                exps.append(prod[0][:cut] + a)
-                rows.append(scale(prod[1][:cut], matrix) % ctx.p)
-        return self._collect(exps, rows)
+def _sparse(ctx: FieldContext, terms: dict, n: int) -> TruncatedSeries:
+    """The sparse series sum c t^k over {k: c} with every k below n, as
+    known modulo t^n."""
+    support = sorted(terms)
+    rows = np.array([terms[k].coeffs for k in support], dtype=np.int64)
+    return TruncatedSeries(ctx, rows.reshape(-1, ctx.m), support, n)

@@ -19,9 +19,10 @@ from charp.errors import CharpError, PrecisionExhausted
 from charp.ffield import make_context
 from charp.parser import parse_poly
 from charp.poly import MultiPoly, RationalFn
+from charp.series import Budget
 from charp.streams import (from_seed, geometric_gap, lacunary,
                            lacunary_shift, parse_stream_spec, perturb)
-from charp.valuation import EmbeddingValuation
+from charp.valuation import WALK_BUDGET, EmbeddingValuation
 from reference_valuation import certify, residue
 
 FIELDS = [(p, m) for p in (2, 3, 5, 1048573) for m in (1, 2, 3)]
@@ -334,9 +335,9 @@ def counted_substitutions(monkeypatch):
     seen = []
     substitute = charp.valuation.substitute_series
 
-    def counting(f, images, precision):
+    def counting(f, images, precision, **kwargs):
         seen.append(precision)
-        return substitute(f, images, precision)
+        return substitute(f, images, precision, **kwargs)
 
     monkeypatch.setattr(charp.valuation, "substitute_series", counting)
     return seen
@@ -344,14 +345,15 @@ def counted_substitutions(monkeypatch):
 
 @pytest.mark.parametrize("text, cap, precisions, want", [
     ("x^100*y", 4096, [128], 101),
-    ("x^5000*y", 4096, [], 5001),
+    ("x^5000*y", 4096, [5040], 5001),
     ("y - x - x^2 - x^6", 4096, [16, 32], 24),
 ])
 def test_ladder_starts_above_the_lower_bound(text, cap, precisions, want,
                                               monkeypatch):
     """Under lacunary (order 1), x^100*y has every term order at 101, so
-    the one substitution is at 128; a bound at the cap needs none, and the
-    support walk certifies x^5000*y at the next factorial, 5040."""
+    the one substitution is at 128; a bound at the cap needs none below
+    it, and the support walk's one substitution certifies x^5000*y at the
+    next factorial, 5040."""
     ctx = make_context(2)
     V = EmbeddingValuation(ctx, [lacunary(ctx)], precision_cap=cap)
     seen = counted_substitutions(monkeypatch)
@@ -394,3 +396,49 @@ def test_walk_exhaustion_matches_reference(text, streams, last):
         with pytest.raises(PrecisionExhausted) as exc:
             certify(at_cap(V, last), f)
         assert exc.value.last_precision == last
+
+
+@pytest.mark.parametrize("pm, streams, cap, text, want, charged", [
+    ((2, 1), ("lacunary",), 4096,
+     "(y-x-x^2-x^6-x^24-x^120-x^720)^8", (40320, 362880), 112),
+    ((2, 1), ("lacunary",), 4096,
+     "(y-x-x^2-x^6-x^24-x^120-x^720)^256", (1290240, 3628800), 230),
+    ((3, 1), ("geometric-gap(2)",), 64,
+     "y-x^2-x^4-x^8-x^16-x^32", (64, 128), 17),
+    ((5, 2), ("lacunary", "geometric-gap(3)"), 16,
+     "(y-x-x^2-x^6-x^24)^3*(z-x^3-x^9-x^27)^2+x^40*y*z", (44, 81), 3645),
+    ((3, 3), ("lacunary-shift(2)",), 8,
+     "(y-x^3-x^4-x^8-x^26)^7+x^100", (100, 122), 504),
+    ((1048573, 1), ("lacunary-shift(1)", "lacunary+t"), 17,
+     "y-x^2-x^3-x^7-x^25-x^121+y^38*z^47", 121, 205826),
+    ((1048573, 1), ("geometric-gap(3)",), 16, "(y+x^2)^400", 16, 217475),
+    # x2^50 * x3^40 vanishes modulo t^118 and t^119, so x4^3 is never
+    # computed there
+    ((3, 1), ("lacunary", "geometric-gap(2)", "lacunary-shift(1)"), 16,
+     "x2-x1-x1^2-x1^6-x1^24+x1^2*x2^50*x3^40*x4^3", (120, 121), 765),
+])
+def test_walk_charges_pinned(pm, streams, cap, text, want, charged,
+                             monkeypatch):
+    """The term products the support walk charges against WALK_BUDGET, in
+    all, up to its certificate or, for a refusal, up to the charge that
+    runs past the budget (want is then the refused precision).  Each total
+    is the one the walk took when it had its own sparse arithmetic, so a
+    budget refusal lands where it did."""
+    ctx = make_context(*pm)
+    images = [parse_stream_spec(s, ctx) for s in streams]
+    V = EmbeddingValuation(ctx, images, precision_cap=cap)
+    f = parse_poly(text, ctx, V.nvars)
+    charges, charge = [], Budget.charge
+
+    def counting(self, products):
+        charges.append(products)
+        return charge(self, products)
+
+    monkeypatch.setattr(Budget, "charge", counting)
+    try:
+        got = V.valuate_with_certificate(f)
+    except PrecisionExhausted as exc:
+        assert str(exc).endswith(f"more than {WALK_BUDGET} term products")
+        got = exc.last_precision
+    assert got == want
+    assert sum(charges) == charged

@@ -10,11 +10,13 @@ from pathlib import Path
 
 import pytest
 
+import charp.valuation
 from charp import cli, errors
 from charp.cli import build_parser, main
 from charp.parser import POWER_BUDGET
 from charp.poly import MultiPoly
-from charp.valuation import WALK_BUDGET, _Sparse
+from charp.series import Budget
+from charp.valuation import WALK_BUDGET
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -491,17 +493,8 @@ class TestBehaviors:
         assert code == 0
         assert json.loads(out)["value"] == "inf"
 
-    def test_val_poly_flag_form(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "val --p 2 --stream lacunary --poly 'y - x - x^2'")
-        assert code == 0
-        assert json.loads(out)["value"] == 6
-
     def test_val_requires_exactly_one_input_form(self, capsys):
         code, _, _ = run_cli(capsys, "val --p 2 --stream lacunary")
-        assert code == 2
-        code, _, _ = run_cli(
-            capsys, "val --p 2 --stream lacunary --poly 'x' 'y'")
         assert code == 2
 
     def test_compat_multiplier_list_sweep(self, capsys):
@@ -738,18 +731,21 @@ class TestPastTheCap:
         31 support indices below 2^31, and no charge is made past the one
         that overruns the budget."""
         steps, charged = [], []
-        substitute, charge = _Sparse.substitute, _Sparse._charge
+        substitute = charp.valuation.substitute_series
+        charge = Budget.charge
 
-        def counting_substitute(self, *args):
-            steps.append(args[-1])
-            return substitute(self, *args)
+        def counting_substitute(f, images, precision, **kwargs):
+            if "budget" in kwargs:
+                steps.append(precision)
+            return substitute(f, images, precision, **kwargs)
 
         def counting_charge(self, products):
             charged.append(products)
             return charge(self, products)
 
-        monkeypatch.setattr(_Sparse, "substitute", counting_substitute)
-        monkeypatch.setattr(_Sparse, "_charge", counting_charge)
+        monkeypatch.setattr(charp.valuation, "substitute_series",
+                            counting_substitute)
+        monkeypatch.setattr(Budget, "charge", counting_charge)
         code, out, err = run_cli(capsys, cmdline)
         assert len(steps) <= 31
         assert sum(charged[:-1]) <= WALK_BUDGET
