@@ -7,7 +7,7 @@ then a sweep over n of each branch series_mul can take on dense factors
 cost series_mul's rule predicts for the last two; the branch constants of
 charp._kernels are read from that sweep.  Then a realistic valuation
 workload (deep lacunary gap, forcing precision escalation to 1024), and
-last three support walks past the precision cap, each a sparse
+last six support walks past the precision cap, each a sparse
 substitution per rung charged against WALK_BUDGET.
 """
 
@@ -33,6 +33,11 @@ WALKS = [
     (2, 1, ("lacunary",), 4096, "(y-x-x^2-x^6-x^24-x^120-x^720)^256"),
     (1048573, 1, ("lacunary-shift(1)", "lacunary+t"), 17,
      "y-x^2-x^3-x^7-x^25-x^121+y^38*z^47"),
+    # algebraic kernels: s^2 + s + t^2 = 0 and s^3 - s + t^3 = 0, walked
+    # to EXPONENT_LIMIT and refused
+    (2, 1, ("geometric-gap(2)",), 4096, "y^2+y+x^2"),
+    (3, 1, ("geometric-gap(3)",), 4096, "y^3-y+x^3"),
+    (2, 1, ("lacunary+t^5000",), 4096, "y-x-x^2-x^6-x^24-x^120-x^720"),
 ]
 
 
@@ -126,8 +131,8 @@ def bench_valuation(repeats):
 
 
 def bench_walks(repeats):
-    """CPU of one certification past the cap on a warm valuation; the two
-    refusals run past the walk's budget."""
+    """CPU of one certification past the cap on a warm valuation; two
+    refusals run past the walk's budget, and two past EXPONENT_LIMIT."""
     print()
     for p, m, streams, cap, text in WALKS:
         ctx = make_context(p, m)

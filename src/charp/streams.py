@@ -285,10 +285,20 @@ _FACTORIES = {
 }
 
 
+def _integer(digits: str, what: str, text: str, at: int) -> int:
+    """int(digits), or a PolySyntaxError naming what and where it starts."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise PolySyntaxError(
+            f"bad {what} {digits!r} in stream spec {text!r}", at) from None
+
+
 def parse_stream_spec(text: str, ctx: FieldContext) -> SeriesStream:
-    """Build a stream from a spec like `lacunary`, `from-seed(7)`,
-    or `lacunary+t^3` (monomial perturbations, optional coefficient)."""
+    """Build a stream from a spec like `lacunary`, `from-seed(7)` or
+    `lacunary+2*t^3` (monomial perturbations); error positions index text."""
     spec = text.strip()
+    lead = text.index(spec)  # where spec starts in text
     # split off +t^k / -t^k / +c*t^k perturbation suffixes
     perturbations = []
     while True:
@@ -305,31 +315,30 @@ def parse_stream_spec(text: str, ctx: FieldContext) -> SeriesStream:
         if tpart == "":
             k = 1
         elif tpart.startswith("^"):
-            try:
-                k = int(tpart[1:])
-            except ValueError:
-                raise PolySyntaxError(
-                    f"bad perturbation exponent in {text!r}", cut)
+            k = _integer(tpart[1:], "perturbation exponent", text, lead + cut)
         else:
             break
-        coeff = 1 if coeff_str == "" else int(coeff_str)
+        coeff = 1 if coeff_str == "" else _integer(
+            coeff_str, "perturbation coefficient", text, lead + cut + 1)
         perturbations.append((k, coeff if sign == "+" else -coeff))
         spec = spec[:cut].strip()
     name, args = spec, []
     if "(" in spec:
         if not spec.endswith(")"):
-            raise PolySyntaxError(f"unbalanced '(' in stream spec {text!r}", 0)
+            raise PolySyntaxError(
+                f"unbalanced '(' in stream spec {text!r}", lead)
         name, argtext = spec[:-1].split("(", 1)
-        args = [int(a) for a in argtext.split(",")] if argtext else []
+        args = [_integer(a, "stream argument", text, lead + len(name) + 1)
+                for a in argtext.split(",")] if argtext else []
     factory = _FACTORIES.get(name.strip())
     if factory is None:
         known = ", ".join(sorted(_FACTORIES))
         raise PolySyntaxError(
-            f"unknown stream {name.strip()!r} (known: {known})", 0)
+            f"unknown stream {name.strip()!r} (known: {known})", lead)
     fn, arity = factory
     if len(args) != arity:
         raise PolySyntaxError(
-            f"stream {name.strip()!r} takes {arity} argument(s)", 0)
+            f"stream {name.strip()!r} takes {arity} argument(s)", lead)
     stream = fn(ctx, *args) if args else fn(ctx)
     for k, coeff in reversed(perturbations):
         stream = perturb(stream, k, ctx.elem(coeff))

@@ -4,34 +4,30 @@ Sending the first variable to t and the remaining variables to chosen
 non-unit series embeds the polynomial ring into the formal power series
 ring; the t-adic order then restricts to a discrete valuation on the
 function field.  Computed orders are always certified: a reported value v
-was observed at a truncation strictly beyond v, with precision escalating
-by doubling up to a cap.  The doubling starts above a lower bound that
-needs no substitution: a term c * x^e has image order sum e_i * ord(x_i),
-exactly, because a field has no zero divisors, so no truncation at or
-below the least of these can certify anything.
+was observed at a truncation t^n with n > v, the first of one sequence of
+rungs n at which the image of f does not vanish.
 
-Past the cap, images that know their support (see streams) are walked
-instead.  Write each non-t image as s = P_d + R_d, with P_d its support
-terms below d, and let r be the least support index at or above d over all
-images.  Every term of f(t, s) - f(t, P_d) holds a factor R_d, so it has
-order at least r: if the exact polynomial f(t, P_d) is nonzero modulo t^r,
-its order is v(f), its lowest coefficient is exact, and r is the certified
-precision.  The walk starts at the first r above both the cap and the
-term-order bound, computes f(t, P_d) modulo t^r, and raises d one support
-index at a time.  That is the ladder's substitute_series at precision r,
-over the sparse images of t and P_d, with every term product charged
-against WALK_BUDGET (see series.Budget).  Below the cap only the dense ladder
-certifies, so every certificate it gives is unchanged.  An image's own
-order is read from the first cap indices where it may be nonzero: those
-below the cap for an image without a support, and its support for a gap
-stream, whose order may then lie at or past the cap.
+The rungs double up to a cap, over dense images.  No rung at or below a
+lower bound is substituted: a term c * x^e has image order sum e_i *
+ord(x_i), exactly, because a field has no zero divisors, so no truncation
+at or below the least of these can certify anything.  Past the cap, if
+every image other than t knows its support (see streams), the rungs are
+the indices r of the merged supports past the cap and the bound.  Modulo
+t^r an image equals P_r, its support terms below r, which changes only at
+those indices; so such a rung is the ladder's substitute_series at
+precision r over the sparse images of t and P_r, each term product charged
+against one WALK_BUDGET (see series.Budget).  Below the cap every rung is
+the dense ladder's, so every certificate it gives is unchanged.  An
+image's own order is read from the first cap indices where it may be
+nonzero: those below the cap for an image without a support, and its
+support for a gap stream, whose order may then lie at or past the cap.
 
-Exhausting the cap raises instead of guessing when an image has no support
-(a from-seed or t image), when the walk's next support index would pass
-EXPONENT_LIMIT, which a nonzero image of an algebraic stream such as
-geometric-gap(p^k) cannot always outrun and a kernel element never does,
-or when the walk runs past WALK_BUDGET.  The error carries the highest
-precision at which the image was seen to vanish.
+Running out of rungs raises instead of guessing: an image without a
+support (a from-seed or t image) leaves none past the cap, and none lies
+past EXPONENT_LIMIT, which a nonzero image of an algebraic stream such as
+geometric-gap(p^k) cannot always outrun and a kernel element never does.
+So does a rung past WALK_BUDGET.  The error carries the highest precision
+at which the image was seen to vanish.
 
 Two embeddings are told apart constructively: if the image series first
 differ at coefficient index i, the fraction x^i / (y - (a_0 + a_1 x + ...
@@ -55,7 +51,7 @@ from .errors import ContextMismatch, NotInRing, PrecisionExhausted, SizeBound
 from .ffield import FieldContext, FieldElement
 from .poly import EXPONENT_LIMIT, MultiPoly, RationalFn
 from .series import Budget, TruncatedSeries, _Powers, substitute_series
-from .streams import DEFAULT_PRECISION_CAP, SeriesStream, t_stream
+from .streams import DEFAULT_PRECISION_CAP, SeriesStream, _union, t_stream
 # stream comparison needs no series; it lives in streams, and is also
 # importable from here
 from .streams import (distinguishing_fraction, first_difference,
@@ -159,65 +155,56 @@ class EmbeddingValuation:
 
     # -- valuation -----------------------------------------------------------
 
-    def _certify(self, f: MultiPoly):
-        """(order, certified precision, leading coefficient) with order <
-        precision.
-
-        The image of f has order at least the least term order, so it
-        vanishes modulo t^n for every rung n at or below that bound; those
-        rungs are passed without substituting.  Past the cap, the support
-        walk takes over (see the module docstring).
-        """
-        bound = min((sum(map(mul, exp, self._orders)) for exp in f.terms),
-                    default=0)
-        n = self.start_precision
+    def _rungs(self, bound: int):
+        """(precision, images, budget) of each rung above bound (see the
+        module docstring): dense images without a budget up to the cap, and
+        past it sparse ones, all charged to one Budget(WALK_BUDGET)."""
+        n, cap = self.start_precision, self.precision_cap
         while True:
             if n > bound:
-                image = substitute_series(f, self.images(n), n)
-                v = image.order()
-                if v is not None:
-                    return v, n, image.element_at(v)
-            if n >= self.precision_cap:
-                return self._walk(f, bound)
-            n = min(2 * n, self.precision_cap)
-
-    def _walk(self, f: MultiPoly, bound: int):
-        """_certify past the cap, from f(t, P_d) modulo t^r."""
-        last, streams = self.precision_cap, self.streams[1:]
-        if any(s.support is None for s in streams):
-            raise PrecisionExhausted(
-                f"image of {f} vanishes modulo t^{last}; the series images "
-                "may satisfy an algebraic relation", last)
-        d = max(last, bound) + 1
-        # per image: P_d, and its support from d on, headed by its next index
-        terms = [{k: c for k in s.indices(0, d) if (c := s.oracle(k))}
-                 for s in streams]
-        supports = [s.support(d) for s in streams]
-        heads = [next(support, INFINITY) for support in supports]
-        budget = Budget(WALK_BUDGET)
-        while True:
-            r = min(heads, default=INFINITY)
-            if r > EXPONENT_LIMIT:
-                reason = "the series images may satisfy an algebraic relation"
+                yield n, self.images(n), None
+            if n >= cap:
                 break
-            images = [_sparse(self.ctx, y, r) for y in [{1: self.ctx.one}]
-                      + terms]
+            n = min(2 * n, cap)
+        streams = self.streams[1:]
+        if any(s.support is None for s in streams):
+            return
+        ctx, start, budget = self.ctx, max(cap, bound) + 1, Budget(WALK_BUDGET)
+        # P_r of t and of each other image: its support indices below r
+        # with a nonzero coefficient, and their rows, grown as r rises
+        known = [([1], [ctx.one.coeffs])] + [([], []) for _ in streams]
+        for r in _union(*(s.indices(0, EXPONENT_LIMIT + 1)
+                          for s in streams)):
+            if r >= start:
+                yield r, [TruncatedSeries(
+                    ctx, np.array(rows, dtype=np.int64).reshape(-1, ctx.m),
+                    support, r) for support, rows in known], budget
+            for s, (support, rows) in zip(streams, known[1:]):
+                if c := s.oracle(r):
+                    support.append(r)
+                    rows.append(c.coeffs)
+
+    def _certify(self, f: MultiPoly):
+        """(order, certified precision, leading coefficient) with order <
+        precision, from the first rung where the image of f does not vanish;
+        the bound is the least term order (see the module docstring)."""
+        bound = min((sum(map(mul, exp, self._orders)) for exp in f.terms),
+                    default=0)
+        last = self.precision_cap
+        reason = "the series images may satisfy an algebraic relation"
+        for n, images, budget in self._rungs(bound):
             try:
-                image = substitute_series(f, images, r, budget=budget)
+                image = substitute_series(f, images, n, budget=budget)
             except SizeBound:
+                if budget is None:
+                    raise
                 reason = (f"certifying further takes more than {WALK_BUDGET} "
                           "term products")
                 break
             v = image.order()
             if v is not None:
-                return v, r, image.element_at(v)
-            last = r
-            for j, s in enumerate(streams):
-                if heads[j] == r:
-                    c = s.oracle(r)
-                    if c:
-                        terms[j][r] = c
-                    heads[j] = next(supports[j], INFINITY)
+                return v, n, image.element_at(v)
+            last = n
         raise PrecisionExhausted(
             f"image of {f} vanishes modulo t^{last}; {reason}", last)
 
@@ -233,11 +220,18 @@ class EmbeddingValuation:
     def valuate(self, f: MultiPoly):
         return self.valuate_with_certificate(f)[0]
 
-    def valuate_rational(self, r) -> object:
+    def _parts(self, r):
+        """(value, leading coefficient of the numerator, of the denominator)
+        of a rational, each part certified once; zero has value infinity."""
         r = self._as_rational(r)
         if r.num.is_zero:
-            return INFINITY
-        return self.valuate(r.num) - self.valuate(r.den)
+            return INFINITY, None, None
+        (v_num, _, lead_num), (v_den, _, lead_den) = map(
+            self._certify, (r.num, r.den))
+        return v_num - v_den, lead_num, lead_den
+
+    def valuate_rational(self, r) -> object:
+        return self._parts(r)[0]
 
     def in_ring(self, r) -> bool:
         return self.valuate_rational(r) >= 0
@@ -249,17 +243,10 @@ class EmbeddingValuation:
         the ratio of the leading series coefficients, an element of the
         coefficient field (which is the whole residue field here).
         """
-        r = self._as_rational(r)
-        if r.num.is_zero:
-            return self.ctx.zero
-        v_num, _, lead_num = self._certify(r.num)
-        v_den, _, lead_den = self._certify(r.den)
-        value = v_num - v_den
+        value, lead_num, lead_den = self._parts(r)
         if value < 0:
             raise NotInRing(f"value {value} < 0, not in the valuation ring")
-        if value > 0:
-            return self.ctx.zero
-        return lead_num / lead_den
+        return self.ctx.zero if value else lead_num / lead_den
 
     # -- helpers -------------------------------------------------------------
 
@@ -280,11 +267,3 @@ class EmbeddingValuation:
     def __repr__(self):
         labels = ", ".join(s.label for s in self.streams)
         return f"EmbeddingValuation([{labels}], cap={self.precision_cap})"
-
-
-def _sparse(ctx: FieldContext, terms: dict, n: int) -> TruncatedSeries:
-    """The sparse series sum c t^k over {k: c} with every k below n, as
-    known modulo t^n."""
-    support = sorted(terms)
-    rows = np.array([terms[k].coeffs for k in support], dtype=np.int64)
-    return TruncatedSeries(ctx, rows.reshape(-1, ctx.m), support, n)

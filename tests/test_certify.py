@@ -442,3 +442,34 @@ def test_walk_charges_pinned(pm, streams, cap, text, want, charged,
         got = exc.last_precision
     assert got == want
     assert sum(charges) == charged
+
+
+@pytest.mark.parametrize("pm, streams, cap, text, rungs, want", [
+    ((5, 2), ("lacunary", "geometric-gap(3)"), 16,
+     "(y-x-x^2-x^6-x^24)^3*(z-x^3-x^9-x^27)^2+x^40*y*z",
+     ["L16", "W24", "W27", "W81"], (44, 81)),
+    ((3, 1), ("lacunary", "geometric-gap(2)", "lacunary-shift(1)"), 16,
+     "x2-x1-x1^2-x1^6-x1^24+x1^2*x2^50*x3^40*x4^3",
+     ["L16", "W24", "W25", "W32", "W64", "W120", "W121"], (120, 121)),
+    ((2, 1), ("lacunary+t^5000",), 4096,
+     "y-x-x^2-x^6-x^24-x^120-x^720",
+     [f"L{1 << k}" for k in range(4, 13)] + ["W5000", "W5040"],
+     (5000, 5040)),
+])
+def test_rungs_pinned(pm, streams, cap, text, rungs, want, monkeypatch):
+    """Each precision _certify substitutes at, marked L for a ladder rung
+    (no budget) and W for a walk rung (with one): the ladder doubles up to
+    the cap, and the walk takes each index of the merged supports past it."""
+    ctx = make_context(*pm)
+    images = [parse_stream_spec(s, ctx) for s in streams]
+    V = EmbeddingValuation(ctx, images, precision_cap=cap)
+    seen, substitute = [], charp.valuation.substitute_series
+
+    def recording(f, images, precision, **kwargs):
+        walked = kwargs.get("budget") is not None
+        seen.append(f"{'W' if walked else 'L'}{precision}")
+        return substitute(f, images, precision, **kwargs)
+
+    monkeypatch.setattr(charp.valuation, "substitute_series", recording)
+    assert V.valuate_with_certificate(parse_poly(text, ctx, V.nvars)) == want
+    assert seen == rungs

@@ -735,7 +735,7 @@ class TestPastTheCap:
         charge = Budget.charge
 
         def counting_substitute(f, images, precision, **kwargs):
-            if "budget" in kwargs:
+            if kwargs.get("budget") is not None:
                 steps.append(precision)
             return substitute(f, images, precision, **kwargs)
 

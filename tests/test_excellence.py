@@ -7,7 +7,7 @@ from charp.errors import NotSolid
 from charp.excellence import (IMPLICATIONS, THEOREMS, dvr_report,
                               f_finite_report, solidity_witness)
 from charp.ffield import make_context
-from charp.parser import parse_poly
+from charp.parser import parse_poly, parse_rational
 from charp.poly import MultiPoly, random_nonzero_poly
 from charp.streams import lacunary, parse_stream_spec
 from charp.valuation import EmbeddingValuation
@@ -133,6 +133,27 @@ class TestDvrReport:
         residue_item = rep.evidence[1]
         assert residue_item["witness"]["samples"] == 20
         assert residue_item["witness"]["in_field"] == 20
+
+    @pytest.mark.parametrize("pm, spec", [((2, 1), "lacunary"),
+                                          ((5, 2), "lacunary+3*t^2")])
+    def test_one_certification_per_sample(self, monkeypatch, pm, spec):
+        """x is certified once and each sample f once: f / x^v(f) has
+        value 0, and its residue, as residue() takes it, is f's leading
+        coefficient."""
+        ctx = make_context(*pm)
+        V = EmbeddingValuation(ctx, [parse_stream_spec(spec, ctx)])
+        calls, certify = [], EmbeddingValuation._certify
+
+        def counting(self, f):
+            calls.append(f)
+            return certify(self, f)
+
+        monkeypatch.setattr(EmbeddingValuation, "_certify", counting)
+        examples = dvr_report(V, samples=5).evidence[1]["witness"]["examples"]
+        assert len(calls) == 6
+        for example in examples:
+            fraction = parse_rational(example["element"], ctx, 2)
+            assert str(V.residue(fraction)) == example["residue"]
 
     def test_deterministic_for_fixed_seed(self, V):
         assert dvr_report(V, samples=8, seed=3).to_dict() == \

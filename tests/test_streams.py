@@ -127,6 +127,20 @@ class TestSpecLanguage:
         with pytest.raises(PolySyntaxError):
             parse_stream_spec("from-seed", f2)
 
+    @pytest.mark.parametrize("spec, position", [
+        ("lacunary+x*t", 9),
+        ("lacunary+shift", 9),
+        ("from-seed(x)", 10),
+        ("from-seed(1)(2)", 10),
+        ("geometric-gap(2.5)", 14),
+        ("  lacunary+t^q", 10),
+        (" fibonacci", 1),
+    ])
+    def test_error_positions_index_the_spec(self, f2, spec, position):
+        with pytest.raises(PolySyntaxError) as exc:
+            parse_stream_spec(spec, f2)
+        assert exc.value.position == position
+
     def test_matches_direct_constructors(self, f2):
         spec = parse_stream_spec("lacunary-shift(1)", f2)
         direct = lacunary_shift(f2, 1)
