@@ -22,10 +22,10 @@ from .errors import (CharpError, ContextMismatch, DegreeTooLarge,
 from .ffield import (FieldContext, FieldElement, frobenius_pow, make_context,
                      pth_root)
 from .poly import (MonomialIdeal, MultiPoly, RationalFn, format_poly,
-                   format_rational, member, random_poly)
+                   format_rational, random_poly)
 from .parser import parse_poly, parse_rational
 from .frobenius import (FrobDecomposition, decompose, free_basis,
-                        frobenius_image, is_pe_power, recompose)
+                        frobenius_image, recompose)
 from .cartier import (CartierMap, canonical_splitting, check_compatible,
                       check_linearity, compose, is_splitting, trace_project)
 from .streams import (SeriesStream, builtin_streams,
@@ -51,11 +51,11 @@ __all__ = [
     "FieldContext", "FieldElement", "frobenius_pow", "make_context",
     "pth_root",
     "MonomialIdeal", "MultiPoly", "RationalFn", "format_poly",
-    "format_rational", "member", "random_poly",
+    "format_rational", "random_poly",
     "parse_poly", "parse_rational",
     "TruncatedSeries", "substitute_series",
     "FrobDecomposition", "decompose", "free_basis", "frobenius_image",
-    "is_pe_power", "recompose",
+    "recompose",
     "CartierMap", "canonical_splitting", "check_compatible",
     "check_linearity", "compose", "is_splitting", "trace_project",
     "SeriesStream", "builtin_streams", "from_seed", "geometric_gap",

@@ -25,8 +25,7 @@ from .ffield import make_context
 from .frobenius import decompose as frob_decompose
 from .frobenius import recompose
 from .parser import parse_list, parse_poly, parse_rational
-from .poly import (MonomialIdeal, MultiPoly, format_monomial, format_poly,
-                   random_poly)
+from .poly import MonomialIdeal, format_monomial, format_poly, random_poly
 from .streams import (DEFAULT_PRECISION_CAP, distinguishing_fraction,
                       fraction_construction_string, parse_stream_spec)
 
@@ -244,12 +243,7 @@ def _val(args, ctx):
     V = _valuation(args, ctx)
     from .valuation import INFINITY
     r = parse_rational(_read_poly_arg(args.poly), ctx, args.vars)
-    if r.den == MultiPoly.const(ctx, args.vars, 1):
-        value, cert = V.valuate_with_certificate(r.num)
-    else:
-        v_num, c1 = V.valuate_with_certificate(r.num)
-        v_den, c2 = V.valuate_with_certificate(r.den)
-        value, cert = v_num - v_den, max(c1, c2)
+    value, cert = V.valuate_with_certificate(r)
     return {"value": "inf" if value == INFINITY else value,
             "precision_certified": cert}
 

@@ -138,14 +138,6 @@ def recompose(d: FrobDecomposition) -> MultiPoly:
     return d.recompose()
 
 
-def is_pe_power(f: MultiPoly, e: int) -> bool:
-    """True iff f lies in the subring of p^e-th powers."""
-    if e < 1:
-        raise ValueError("level must be >= 1")
-    zero_exp = (0,) * f.nvars
-    return all(rho == zero_exp for rho in decompose(f, e).components)
-
-
 def free_basis(nvars: int, p: int, e: int, bound: int = DEFAULT_BASIS_BOUND):
     """All level-e reduced monomials, degree-ascending; rank p^(e*nvars)."""
     if e < 1:

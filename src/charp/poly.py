@@ -362,10 +362,6 @@ def _divides(g: Exponent, e: Exponent) -> bool:
     return all(a <= b for a, b in zip(g, e))
 
 
-def member(ideal: MonomialIdeal, f: MultiPoly) -> bool:
-    return ideal.member(f)
-
-
 def random_poly(ctx, nvars, rng, max_terms=6, max_degree=8) -> MultiPoly:
     """Random sparse polynomial with per-variable degrees up to max_degree."""
     terms = {}

@@ -29,6 +29,14 @@ geometric-gap(p^k) cannot always outrun and a kernel element never does.
 So does a rung past WALK_BUDGET.  The error carries the highest precision
 at which the image was seen to vanish.
 
+Every query reads one record, certify(r) = Certificate(value, precision,
+lead), for a polynomial or a fraction.  Zero is decided once, by
+structure: a zero numerator is (INFINITY, 0, None) and certifies nothing,
+whatever its denominator.  A polynomial, or a fraction over 1, certifies
+one part.  Any other fraction certifies its numerator, then its
+denominator, and reads (v_num - v_den, the larger precision, lead_num /
+lead_den).  valuate, valuate_rational, in_ring and residue read its fields.
+
 Two embeddings are told apart constructively: if the image series first
 differ at coefficient index i, the fraction x^i / (y - (a_0 + a_1 x + ...
 + a_i x^i)) built from the first stream's coefficients has nonnegative
@@ -44,12 +52,13 @@ from __future__ import annotations
 import threading
 from itertools import islice
 from operator import mul
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ContextMismatch, NotInRing, PrecisionExhausted, SizeBound
 from .ffield import FieldContext, FieldElement
-from .poly import EXPONENT_LIMIT, MultiPoly, RationalFn
+from .poly import EXPONENT_LIMIT, MultiPoly
 from .series import Budget, TruncatedSeries, _Powers, substitute_series
 from .streams import DEFAULT_PRECISION_CAP, SeriesStream, _union, t_stream
 # stream comparison needs no series; it lives in streams, and is also
@@ -65,6 +74,15 @@ START_PRECISION = 16
 # is linear in them: on a 2-vCPU x86 VM, a walk refused at this budget took
 # 0.04 s of CPU at p = 1048573, m = 3, and one refused at ten times it 0.55 s.
 WALK_BUDGET = 200_000
+
+
+class Certificate(NamedTuple):
+    """A certified value: value < precision, and lead is the leading
+    coefficient of the image (the ratio of the parts' for a fraction); zero
+    is (INFINITY, 0, None)."""
+    value: object
+    precision: int
+    lead: FieldElement | None
 
 
 class EmbeddingValuation:
@@ -184,10 +202,10 @@ class EmbeddingValuation:
                     support.append(r)
                     rows.append(c.coeffs)
 
-    def _certify(self, f: MultiPoly):
-        """(order, certified precision, leading coefficient) with order <
-        precision, from the first rung where the image of f does not vanish;
-        the bound is the least term order (see the module docstring)."""
+    def _certify(self, f: MultiPoly) -> Certificate:
+        """The certificate of a nonzero polynomial, from the first rung where
+        its image does not vanish; the bound is the least term order (see
+        the module docstring)."""
         bound = min((sum(map(mul, exp, self._orders)) for exp in f.terms),
                     default=0)
         last = self.precision_cap
@@ -203,38 +221,40 @@ class EmbeddingValuation:
                 break
             v = image.order()
             if v is not None:
-                return v, n, image.element_at(v)
+                return Certificate(v, n, image.element_at(v))
             last = n
         raise PrecisionExhausted(
             f"image of {f} vanishes modulo t^{last}; {reason}", last)
 
-    def valuate_with_certificate(self, f: MultiPoly):
-        """(value, certified precision); the zero polynomial has value
-        infinity by structural inspection, never by precision loss."""
-        self._check_poly(f)
-        if f.is_zero:
-            return INFINITY, 0
-        v, n, _ = self._certify(f)
-        return v, n
+    def certify(self, r) -> Certificate:
+        """The certificate of a polynomial or a fraction (see the module
+        docstring): zero certifies nothing, a polynomial or a fraction over
+        1 certifies one part, any other fraction its numerator and then its
+        denominator."""
+        num, den = (r, None) if isinstance(r, MultiPoly) else (r.num, r.den)
+        self._check_poly(num)
+        if num.is_zero:
+            return Certificate(INFINITY, 0, None)
+        top = self._certify(num)
+        if den is None or den.total_degree() == 0:  # a monic constant is 1
+            return top
+        bottom = self._certify(den)
+        return Certificate(top.value - bottom.value,
+                           max(top.precision, bottom.precision),
+                           top.lead / bottom.lead)
 
-    def valuate(self, f: MultiPoly):
-        return self.valuate_with_certificate(f)[0]
+    def valuate_with_certificate(self, f):
+        """(value, certified precision) of certify(f)."""
+        return self.certify(f)[:2]
 
-    def _parts(self, r):
-        """(value, leading coefficient of the numerator, of the denominator)
-        of a rational, each part certified once; zero has value infinity."""
-        r = self._as_rational(r)
-        if r.num.is_zero:
-            return INFINITY, None, None
-        (v_num, _, lead_num), (v_den, _, lead_den) = map(
-            self._certify, (r.num, r.den))
-        return v_num - v_den, lead_num, lead_den
+    def valuate(self, f):
+        return self.certify(f).value
 
-    def valuate_rational(self, r) -> object:
-        return self._parts(r)[0]
+    def valuate_rational(self, r):
+        return self.certify(r).value
 
     def in_ring(self, r) -> bool:
-        return self.valuate_rational(r) >= 0
+        return self.certify(r).value >= 0
 
     def residue(self, r) -> FieldElement:
         """Image in the residue field; requires value >= 0.
@@ -243,10 +263,10 @@ class EmbeddingValuation:
         the ratio of the leading series coefficients, an element of the
         coefficient field (which is the whole residue field here).
         """
-        value, lead_num, lead_den = self._parts(r)
+        value, _, lead = self.certify(r)
         if value < 0:
             raise NotInRing(f"value {value} < 0, not in the valuation ring")
-        return self.ctx.zero if value else lead_num / lead_den
+        return self.ctx.zero if value else lead
 
     # -- helpers -------------------------------------------------------------
 
@@ -257,12 +277,6 @@ class EmbeddingValuation:
             raise ContextMismatch(
                 f"valuation is on {self.nvars} variables, "
                 f"polynomial has {f.nvars}")
-
-    def _as_rational(self, r) -> RationalFn:
-        if isinstance(r, MultiPoly):
-            r = RationalFn.from_poly(r)
-        self._check_poly(r.num)
-        return r
 
     def __repr__(self):
         labels = ", ".join(s.label for s in self.streams)

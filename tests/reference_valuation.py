@@ -46,8 +46,8 @@ def images(V: EmbeddingValuation, n: int):
 
 
 def residue(V: EmbeddingValuation, r):
-    """EmbeddingValuation.residue with every order taken from certify."""
-    r = V._as_rational(r)
+    """EmbeddingValuation.residue of a fraction, with every order taken
+    from certify."""
     if r.num.is_zero:
         return V.ctx.zero
     v_num, _, img_num = certify(V, r.num)

@@ -16,7 +16,7 @@ from charp.excellence import THEOREMS, dvr_report, solidity_witness
 from charp.ffield import make_context
 from charp.frobenius import decompose, free_basis, frobenius_image, recompose
 from charp.parser import parse_poly, parse_rational
-from charp.poly import MonomialIdeal, MultiPoly, member, random_poly
+from charp.poly import MonomialIdeal, MultiPoly, random_poly
 from charp.streams import builtin_streams, lacunary, parse_stream_spec
 from charp.valuation import EmbeddingValuation, distinguishing_fraction
 
@@ -245,7 +245,7 @@ def test_criterion_10_compatibility_hand_cases():
             for b in free_basis(1, 2, phi.e):
                 probe = MultiPoly.monomial(ctx, 1, gen) * \
                     MultiPoly.monomial(ctx, 1, b)
-                if not member(ideal, phi.apply(probe)):
+                if not ideal.member(phi.apply(probe)):
                     return False
         return True
 

@@ -5,7 +5,8 @@ support walk must agree with the reference run at the precision the walk
 saw: the same value and leading coefficient where the walk certifies, the
 same exhaustion where it raises.  The reference substitutes without the
 valuation's power memos, so one valuation answering a sequence of
-polynomials checks that its memos never go stale."""
+polynomials checks that its memos never go stale.  Every query answers
+what one certify record says, and certifies each part at most once."""
 
 from unittest import mock
 
@@ -15,14 +16,14 @@ from hypothesis import strategies as st
 
 import charp.series
 import charp.valuation
-from charp.errors import CharpError, PrecisionExhausted
+from charp.errors import CharpError, NotInRing, PrecisionExhausted
 from charp.ffield import make_context
-from charp.parser import parse_poly
+from charp.parser import parse_poly, parse_rational
 from charp.poly import MultiPoly, RationalFn
 from charp.series import Budget
 from charp.streams import (from_seed, geometric_gap, lacunary,
                            lacunary_shift, parse_stream_spec, perturb)
-from charp.valuation import WALK_BUDGET, EmbeddingValuation
+from charp.valuation import INFINITY, WALK_BUDGET, EmbeddingValuation
 from reference_valuation import certify, residue
 
 FIELDS = [(p, m) for p in (2, 3, 5, 1048573) for m in (1, 2, 3)]
@@ -473,3 +474,98 @@ def test_rungs_pinned(pm, streams, cap, text, rungs, want, monkeypatch):
     monkeypatch.setattr(charp.valuation, "substitute_series", recording)
     assert V.valuate_with_certificate(parse_poly(text, ctx, V.nvars)) == want
     assert seen == rungs
+
+
+# -- one certificate record ------------------------------------------------
+
+QUERIES = ("valuate", "valuate_with_certificate", "valuate_rational",
+           "in_ring", "residue")
+
+
+@st.composite
+def query(draw, V):
+    """A polynomial, or a fraction of two; numerators may be zero, and
+    denominators 1 or another constant."""
+    ctx, nvars = V.ctx, V.nvars
+    f = draw(st.one_of(st.just(MultiPoly.zero(ctx, nvars)), polynomial(V)))
+    den = draw(st.sampled_from(("none", "one", "constant", "polynomial")))
+    if den == "none":
+        return f
+    if den == "polynomial":
+        return RationalFn(f, draw(polynomial(V).filter(bool)))
+    c = draw(element(ctx, nonzero=True)) if den == "constant" else 1
+    return RationalFn(f, MultiPoly.const(ctx, nvars, c))
+
+
+@settings(max_examples=150, deadline=None)
+@given(valuations(), st.data())
+def test_every_query_reads_one_certificate(case, data):
+    """Each query answers what certify's record says, and where certify
+    raises PrecisionExhausted every query raises it with the same message
+    and precision; a zero numerator is (INFINITY, 0, None)."""
+    ctx, cap, streams = case
+    try:
+        V = EmbeddingValuation(ctx, streams, precision_cap=cap)
+    except ValueError:
+        return
+    r = data.draw(query(V))
+    cert = outcome(V.certify, r)
+    got = {name: outcome(getattr(V, name), r) for name in QUERIES}
+    if failed(cert):
+        assert cert[0] is PrecisionExhausted
+        assert got == dict.fromkeys(QUERIES, cert)
+        return
+    value, precision, lead = cert
+    if not (r if isinstance(r, MultiPoly) else r.num):
+        assert cert == (INFINITY, 0, None)
+    else:
+        assert value < precision
+    assert got == {
+        "valuate": value,
+        "valuate_with_certificate": (value, precision),
+        "valuate_rational": value,
+        "in_ring": value >= 0,
+        "residue": (NotInRing, f"value {value} < 0, not in the valuation "
+                    "ring") if value < 0 else ctx.zero if value else lead,
+    }
+
+
+@pytest.mark.parametrize("text, as_fraction, calls", [
+    ("y-x-x^2", False, 1),
+    ("y-x-x^2", True, 1),          # over 1
+    ("(y-x-x^2)/2", True, 1),      # a monic constant denominator is 1
+    ("x^3/(y-x-x^2)", True, 2),
+    ("0", False, 0),
+    ("0", True, 0),
+    ("0/(y-x-x^2)", True, 0),
+])
+@pytest.mark.parametrize("name", ("certify",) + QUERIES)
+def test_certifications_per_query(text, as_fraction, calls, name,
+                                  monkeypatch):
+    """A polynomial, or a fraction over 1, is certified once and builds no
+    fraction; any other fraction twice, numerator first; a zero numerator
+    never."""
+    ctx = make_context(3)
+    V = EmbeddingValuation(ctx, [lacunary(ctx)])
+    r = parse_rational(text, ctx, 2)
+    if not as_fraction:
+        r = r.num
+    certified, certify_part = [], EmbeddingValuation._certify
+    built, build = [], RationalFn.__init__
+
+    def counting(self, f):
+        certified.append(f)
+        return certify_part(self, f)
+
+    def building(self, *args):
+        built.append(args)
+        build(self, *args)
+
+    monkeypatch.setattr(EmbeddingValuation, "_certify", counting)
+    monkeypatch.setattr(RationalFn, "__init__", building)
+    outcome(getattr(V, name), r)
+    assert len(certified) == calls
+    if calls == 2:
+        assert certified == [r.num, r.den]
+    if not as_fraction:
+        assert built == []

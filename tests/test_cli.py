@@ -493,6 +493,19 @@ class TestBehaviors:
         assert code == 0
         assert json.loads(out)["value"] == "inf"
 
+    @pytest.mark.parametrize("cmdline", [
+        "val --p 5 --stream lacunary '0'",
+        "val --p 5 --stream lacunary '0/(y)'",
+        # the denominator vanishes under x -> t, y -> geometric-gap(2)
+        "val --p 2 --stream 'geometric-gap(2)' '0/(y^2+y+x^2)'",
+    ])
+    def test_val_zero_numerator_certifies_nothing(self, capsys, cmdline):
+        """Zero is decided by structure, whatever its denominator: value
+        infinity, certified at precision 0."""
+        code, out, err = run_cli(capsys, cmdline)
+        assert (code, out, err) == (
+            0, '{"value":"inf","precision_certified":0}\n', "")
+
     def test_val_requires_exactly_one_input_form(self, capsys):
         code, _, _ = run_cli(capsys, "val --p 2 --stream lacunary")
         assert code == 2

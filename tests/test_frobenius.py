@@ -6,8 +6,7 @@ import reference_frobenius as reference
 from charp.errors import ExponentOverflow, SizeBound
 from charp.ffield import make_context
 from charp.frobenius import (HUGE_LEVEL, FrobDecomposition, decompose,
-                             free_basis, frobenius_image, is_pe_power,
-                             recompose)
+                             free_basis, frobenius_image, recompose)
 from charp.parser import parse_poly
 from charp.poly import (EXPONENT_LIMIT, MultiPoly, random_nonzero_poly,
                         random_poly)
@@ -164,19 +163,6 @@ class TestDecompose:
         big = MultiPoly.monomial(f2, 1, (2 ** 40 + 3,))
         assert decompose(big, 10 ** 8).components == \
             decompose(big, 41).components
-
-
-class TestIsPePower:
-    def test_examples(self, f2):
-        assert is_pe_power(parse_poly("x^2", f2, 1), 1)
-        assert not is_pe_power(parse_poly("x", f2, 1), 1)
-        assert is_pe_power(parse_poly("x^2+y^2", f2, 2), 1)
-        assert not is_pe_power(parse_poly("x^2+y^2+x", f2, 2), 1)
-
-    def test_detects_constructed_powers(self, f5, rng):
-        for _ in range(10):
-            f = random_poly(f5, 2, rng, max_terms=4, max_degree=3)
-            assert is_pe_power(frobenius_image(f, 1), 1)
 
 
 class TestFreeBasis:
